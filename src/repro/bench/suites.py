@@ -139,7 +139,9 @@ def get_benchmark(name: str) -> BenchDef:
 )
 def _predicate_eval() -> Callable[[], int]:
     """Tri-state predicate evaluation against live CCR contents --
-    the single most frequent operation in the machine's control path."""
+    the single most frequent operation in the machine's control path,
+    timed through :meth:`CCR.evaluate`, the masked match the machine
+    inlines."""
     from repro.core.ccr import CCR
     from repro.core.predicate import parse_predicate
 
@@ -160,7 +162,7 @@ def _predicate_eval() -> Callable[[], int]:
         evals = 0
         for _ in range(rounds):
             for predicate in predicates:
-                predicate.evaluate(ccr.values())
+                ccr.evaluate(predicate)
                 evals += 1
         return evals
 

@@ -23,105 +23,84 @@ from repro.core.predicate import Predicate, PredValue
 class CCR:
     """A K-entry condition code register with unspecified values.
 
-    The register is read far more often than it is written: the commit
-    hardware re-evaluates every buffered predicate each cycle, while
-    conditions change only at condition-set instructions and region
-    exits.  The class therefore memoizes both the :meth:`values` mapping
-    and per-predicate :meth:`evaluate` verdicts, invalidating on any
-    mutation that actually changes an entry (no-op writes keep the memo
-    warm).  Callers must treat the :meth:`values` mapping as read-only
-    -- it is shared between calls.
+    The register is held as two int bit masks, the CCR half of the
+    paper's masked vector match (Section 3.2):
+
+    * ``known`` -- bit *i* set when condition *i* is specified;
+    * ``bits`` -- bit *i* set when condition *i* is specified *true*
+      (always a subset of ``known``).
+
+    A predicate's ``(care, want)`` masks (:class:`Predicate`) are then
+    evaluated with two AND/XOR tests and no per-condition loop: UNSPEC
+    when ``care & ~known``, else FALSE when ``(bits ^ want) & care``,
+    else TRUE.  The machine's hot loops inline exactly this test;
+    :meth:`evaluate` is the same test behind a method.  Both masks are
+    plain attributes for those readers; every write goes through
+    :meth:`set`, :meth:`reset`, :meth:`copy_from` or :meth:`load_state`.
     """
 
-    __slots__ = ("_values", "num_entries", "_values_view", "_memo")
+    __slots__ = ("num_entries", "known", "bits")
 
     def __init__(self, num_entries: int):
         if num_entries < 1:
             raise ValueError("CCR needs at least one entry")
         self.num_entries = num_entries
-        self._values: list[bool | None] = [None] * num_entries
-        self._values_view: dict[int, bool | None] | None = None
-        self._memo: dict[Predicate, PredValue] = {}
-
-    def _invalidate(self) -> None:
-        self._values_view = None
-        if self._memo:
-            self._memo.clear()
+        self.known = 0
+        self.bits = 0
 
     def set(self, index: int, value: bool) -> None:
         """Specify condition *index* (a condition-set instruction's write)."""
         self._check(index)
-        value = bool(value)
-        if self._values[index] is not value:
-            self._values[index] = value
-            self._invalidate()
+        mask = 1 << index
+        self.known |= mask
+        if value:
+            self.bits |= mask
+        else:
+            self.bits &= ~mask
 
     def get(self, index: int) -> bool | None:
         """Current value of condition *index* (None = unspecified)."""
         self._check(index)
-        return self._values[index]
+        if not self.known >> index & 1:
+            return None
+        return bool(self.bits >> index & 1)
 
     def is_specified(self, index: int) -> bool:
         self._check(index)
-        return self._values[index] is not None
+        return bool(self.known >> index & 1)
 
     def reset(self) -> None:
         """Reset every entry to unspecified (hardware region-exit action)."""
-        if any(entry is not None for entry in self._values):
-            self._values = [None] * self.num_entries
-            self._invalidate()
+        self.known = 0
+        self.bits = 0
 
     def values(self) -> Mapping[int, bool | None]:
-        """A read-only mapping view for predicate evaluation.
-
-        The same dict is returned until the register next changes;
-        callers must not mutate it.
-        """
-        view = self._values_view
-        if view is None:
-            view = self._values_view = dict(enumerate(self._values))
-        return view
+        """The entries as an index -> True/False/None mapping."""
+        return dict(enumerate(self.state_list()))
 
     def evaluate(self, pred: Predicate) -> PredValue:
-        """Memoized tri-state evaluation of *pred* against this register.
+        """Tri-state masked-match evaluation of *pred* against this register.
 
-        Semantically identical to ``pred.evaluate(self.values())``; the
-        verdict is cached per predicate until the register changes,
-        because the commit hardware re-asks the same question for every
-        buffered write, store and issued operation each cycle.
+        Semantically identical to ``pred.evaluate(self.values())``.
         """
-        terms = pred._terms
-        if not terms:
-            return PredValue.TRUE
-        memo = self._memo
-        verdict = memo.get(pred)
-        if verdict is None:
-            values = self._values
-            limit = self.num_entries
-            matched = True
-            for index, required in terms:
-                actual = values[index] if index < limit else None
-                if actual is None:
-                    verdict = PredValue.UNSPEC
-                    break
-                if actual is not required:
-                    matched = False
-            else:
-                verdict = PredValue.TRUE if matched else PredValue.FALSE
-            memo[pred] = verdict
-        return verdict
+        care = pred.care
+        if care & ~self.known:
+            return PredValue.UNSPEC
+        if (self.bits ^ pred.want) & care:
+            return PredValue.FALSE
+        return PredValue.TRUE
 
     def copy_from(self, other: CCR) -> None:
         """Copy *other*'s contents (recovery-mode exit: future CCR -> CCR)."""
         if other.num_entries != self.num_entries:
             raise ValueError("CCR size mismatch")
-        if self._values != other._values:
-            self._values = list(other._values)
-            self._invalidate()
+        self.known = other.known
+        self.bits = other.bits
 
     def clone(self) -> CCR:
         other = CCR(self.num_entries)
-        other._values = list(self._values)
+        other.known = self.known
+        other.bits = self.bits
         return other
 
     # ------------------------------------------------------------------
@@ -129,14 +108,24 @@ class CCR:
     # ------------------------------------------------------------------
     def state_list(self) -> list[bool | None]:
         """The entry values as a JSON-ready list (True/False/None)."""
-        return list(self._values)
+        known, bits = self.known, self.bits
+        return [
+            bool(bits >> index & 1) if known >> index & 1 else None
+            for index in range(self.num_entries)
+        ]
 
     def load_state(self, values: list[bool | None]) -> None:
         """Restore entry values captured by :meth:`state_list`."""
         if len(values) != self.num_entries:
             raise ValueError("CCR size mismatch")
-        self._values = [None if v is None else bool(v) for v in values]
-        self._invalidate()
+        known = bits = 0
+        for index, value in enumerate(values):
+            if value is not None:
+                known |= 1 << index
+                if value:
+                    bits |= 1 << index
+        self.known = known
+        self.bits = bits
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_entries:
@@ -144,6 +133,6 @@ class CCR:
 
     def __repr__(self) -> str:
         body = ",".join(
-            "U" if v is None else ("T" if v else "F") for v in self._values
+            "U" if v is None else ("T" if v else "F") for v in self.state_list()
         )
         return f"CCR[{body}]"

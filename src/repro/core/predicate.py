@@ -18,6 +18,18 @@ Evaluation against the CCR is tri-state:
 
 :data:`ALWAYS` is the empty conjunction -- the paper's ``alw`` predicate --
 which evaluates to TRUE unconditionally.
+
+Each predicate also carries the vector encoding as two int bit masks,
+built once: ``care`` has bit *i* set when condition *i* is constrained
+(not ``X``), and ``want`` has bit *i* set when it must be true.  Against
+the CCR's ``(known, bits)`` masks (:mod:`repro.core.ccr`) the verdict is
+
+* UNSPEC when ``care & ~known`` -- a constrained condition is unspecified;
+* else FALSE when ``(bits ^ want) & care`` -- a specified one mismatches;
+* else TRUE.
+
+The order matters: an unspecified constrained condition wins over a
+specified mismatch, as in the tri-state rule above.
 """
 
 from __future__ import annotations
@@ -42,15 +54,24 @@ class Predicate:
     encoding).  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "care", "want", "_text")
 
     def __init__(self, terms: Mapping[int, bool] | Iterable[tuple[int, bool]] = ()):
         items = dict(terms)
-        for index in items:
+        care = want = 0
+        for index, value in items.items():
             if index < 0:
                 raise ValueError(f"CCR index must be non-negative: {index}")
+            care |= 1 << index
+            if value:
+                want |= 1 << index
         self._terms: tuple[tuple[int, bool], ...] = tuple(sorted(items.items()))
         self._hash = hash(self._terms)
+        #: Constrained conditions, one bit per CCR index (the non-X entries).
+        self.care = care
+        #: Required values of the constrained conditions (bit set = true).
+        self.want = want
+        self._text: str | None = None
 
     @property
     def terms(self) -> tuple[tuple[int, bool], ...]:
@@ -119,15 +140,13 @@ class Predicate:
         p's.  Used by the machine's store-buffer forwarding and by the
         scheduler's dependence analysis.
         """
-        mine = dict(self._terms)
-        return all(mine.get(index) == value for index, value in other._terms)
+        return not (
+            other.care & ~self.care or (self.want ^ other.want) & other.care
+        )
 
     def disjoint_with(self, other: Predicate) -> bool:
         """True when this predicate and *other* can never both be true."""
-        mine = dict(self._terms)
-        return any(
-            index in mine and mine[index] != value for index, value in other._terms
-        )
+        return bool((self.want ^ other.want) & self.care & other.care)
 
     def encode(self, num_conditions: int) -> tuple[str, ...]:
         """Vector encoding over *num_conditions* CCR entries ('1'/'0'/'X')."""
@@ -154,11 +173,14 @@ class Predicate:
         return f"Predicate({self!s})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "alw"
-        return "&".join(
-            (f"c{index}" if value else f"!c{index}") for index, value in self._terms
-        )
+        # Rendered once: observers print the same predicates every cycle.
+        text = self._text
+        if text is None:
+            text = self._text = "&".join(
+                (f"c{index}" if value else f"!c{index}")
+                for index, value in self._terms
+            ) or "alw"
+        return text
 
 
 ALWAYS = Predicate()

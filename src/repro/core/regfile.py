@@ -24,6 +24,15 @@ corrupting state.
 Shadow reads fall back to the sequential storage when the shadow is invalid
 -- the paper's one-gate operand-fetch fix that keeps re-execution correct
 after an operand was committed (end of Section 3.5).
+
+The commit hardware only has work where a value is buffered, so the file
+keeps the set of *live* registers -- those that may hold pending writes --
+and each tick visits just those, in register order (the order the
+per-entry hardware reports commits in).  Every method that buffers a
+write adds to the set; ticks, supersession and invalidation prune it, and
+:meth:`PredicatedRegisterFile.load_state` rebuilds it.  The set may hold a
+register whose pending list was emptied behind the file's back; it never
+misses one that was filled through the file's methods.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.core.ccr import CCR
 from repro.core.exceptions import FaultRecord, ScheduleViolation
-from repro.core.predicate import Predicate, PredValue
+from repro.core.predicate import Predicate
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.taint.tags import TaintTag, taint_from_state, taint_to_state
 
@@ -115,6 +124,8 @@ class PredicatedRegisterFile:
         #: populate ``CommitEvents.committed_values`` during ticks.
         self.collect_commit_values = False
         self.entries = [RegisterFileEntry() for _ in range(num_regs)]
+        #: Registers that may hold pending writes (see the module notes).
+        self.live: set[int] = set()
 
     # ------------------------------------------------------------------
     # Reads.
@@ -203,12 +214,18 @@ class PredicatedRegisterFile:
         if reg == self.zero_reg:
             return
         entry = self._entry(reg)
-        entry.pending = [
+        if not entry.pending:
+            return
+        unknown, bits = ~ccr.known, ccr.bits
+        entry.pending = kept = [
             write
             for write in entry.pending
             if write.fault is not None
-            or ccr.evaluate(write.pred) is not PredValue.TRUE
+            or write.pred.care & unknown
+            or (bits ^ write.pred.want) & write.pred.care
         ]
+        if not kept:
+            self.live.discard(reg)
 
     def write_speculative(
         self,
@@ -244,6 +261,7 @@ class PredicatedRegisterFile:
                 f"{entry.pending[-1].pred} vs new {pred}"
             )
         entry.pending.append(PendingWrite(value, pred, fault, taint))
+        self.live.add(reg)
 
     # ------------------------------------------------------------------
     # Per-cycle commit hardware.
@@ -269,19 +287,23 @@ class PredicatedRegisterFile:
         """The commit hardware itself, free of instrumentation.
 
         All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference when enforcing
-        the NULL_SINK zero-cost claim.
+        method directly as the uninstrumented reference for the
+        NULL_SINK zero-cost claim.
         """
         events = CommitEvents()
-        for reg, entry in enumerate(self.entries):
-            if not entry.pending:
-                continue
+        live = self.live
+        if not live:
+            return events
+        unknown, bits = ~ccr.known, ccr.bits
+        entries = self.entries
+        for reg in sorted(live):
+            entry = entries[reg]
             kept: list[PendingWrite] = []
             for write in entry.pending:
-                verdict = ccr.evaluate(write.pred)
-                if verdict is PredValue.UNSPEC:
+                care = write.pred.care
+                if care & unknown:
                     kept.append(write)
-                elif verdict is PredValue.TRUE:
+                elif not (bits ^ write.pred.want) & care:
                     if write.fault is not None:
                         events.detected_faults.append(write.fault)
                     else:
@@ -299,12 +321,25 @@ class PredicatedRegisterFile:
                 else:
                     events.squashed.append(reg)
             entry.pending = kept
+            if not kept:
+                live.discard(reg)
         return events
 
     def invalidate_speculative(self) -> None:
         """Drop all buffered speculative state (entry to recovery mode)."""
-        for entry in self.entries:
-            entry.pending.clear()
+        entries = self.entries
+        for reg in self.live:
+            entries[reg].pending.clear()
+        self.live.clear()
+
+    def pending_writes(self) -> list[tuple[int, PendingWrite]]:
+        """Every buffered write as ``(reg, write)``, in register order."""
+        entries = self.entries
+        return [
+            (reg, write)
+            for reg in sorted(self.live)
+            for write in entries[reg].pending
+        ]
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -315,10 +350,12 @@ class PredicatedRegisterFile:
 
     def shadow_occupancy(self) -> int:
         """Buffered speculative values across all registers."""
-        return sum(len(entry.pending) for entry in self.entries)
+        entries = self.entries
+        return sum(len(entries[reg].pending) for reg in self.live)
 
     def has_speculative_state(self) -> bool:
-        return any(entry.pending for entry in self.entries)
+        entries = self.entries
+        return any(entries[reg].pending for reg in self.live)
 
     # ------------------------------------------------------------------
     # Checkpoint state extraction (JSON-native).
@@ -367,6 +404,7 @@ class PredicatedRegisterFile:
         for entry, value in zip(self.entries, sequential):
             entry.sequential = value
             entry.pending = []
+        self.live.clear()
         for reg_text, writes in state.get("pending", {}).items():
             entry = self._entry(int(reg_text))
             entry.pending = [
@@ -383,6 +421,8 @@ class PredicatedRegisterFile:
                 )
                 for write in writes
             ]
+            if entry.pending:
+                self.live.add(int(reg_text))
 
     def _entry(self, reg: int) -> RegisterFileEntry:
         if not 0 <= reg < self.num_regs:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.core.ccr import CCR
 from repro.core.exceptions import FaultRecord, ScheduleViolation
-from repro.core.predicate import ALWAYS, Predicate, PredValue
+from repro.core.predicate import ALWAYS, Predicate
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.taint.tags import TaintTag, taint_from_state, taint_to_state
 
@@ -134,15 +134,20 @@ class PredicatedStoreBuffer:
         """The buffer hardware itself, free of instrumentation.
 
         All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference when enforcing
-        the NULL_SINK zero-cost claim.
+        method directly as the uninstrumented reference for the
+        NULL_SINK zero-cost claim.
         """
         events = StoreBufferEvents()
+        if not self._entries:
+            return events
+        unknown, bits = ~ccr.known, ccr.bits
         for serial, entry in self._entries:
             if not entry.valid or not entry.speculative:
                 continue
-            verdict = ccr.evaluate(entry.pred)
-            if verdict is PredValue.TRUE:
+            care = entry.pred.care
+            if care & unknown:
+                continue  # UNSPEC: held
+            if not (bits ^ entry.pred.want) & care:
                 entry.speculative = False
                 if entry.taint is not None:
                     # Architecturally confirmed: the entry retires with
@@ -153,7 +158,7 @@ class PredicatedStoreBuffer:
                 events.committed.append(serial)
                 if entry.fault is not None:
                     events.detected_faults.append(entry.fault)
-            elif verdict is PredValue.FALSE:
+            else:
                 entry.valid = False
                 events.squashed.append(serial)
 

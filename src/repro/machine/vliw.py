@@ -30,6 +30,13 @@ retries), FALSE is ignored, UNSPEC is buffered again.  Recovery ends after
 re-issuing the commit-point bundle (EPC); the future condition is then
 copied into the CCR and normal execution resumes at EPC+1.
 
+Every verdict -- at issue, at writeback, in the commit tick and in the
+exception-commit scan -- is the paper's masked vector match on int bit
+masks (:mod:`repro.core.ccr`): UNSPEC when ``care & ~known``, else FALSE
+when ``(bits ^ want) & care``, else TRUE.  The program is decoded once,
+at construction, into per-op records (:class:`_Op`), and the text the
+observers print per bundle is rendered then too.
+
 Two deliberate timing simplifications, both documented in DESIGN.md:
 
 * a *faulting* speculative operation buffers its E flag at the end of its
@@ -48,7 +55,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.ccr import CCR
-from repro.core.control_path import ControlPath
 from repro.core.exceptions import (
     FaultKind,
     FaultRecord,
@@ -60,13 +66,14 @@ from repro.core.predicate import ALWAYS, PredValue, Predicate
 from repro.core.regfile import CommitEvents, PredicatedRegisterFile
 from repro.core.store_buffer import PredicatedStoreBuffer
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass
+from repro.isa.opcodes import OPCODES, FuClass
 from repro.isa.registers import NUM_REGS
 from repro.isa.semantics import (
+    ALU_SEMANTICS,
+    COND_SEMANTICS,
     ArithmeticFault,
     effective_address,
-    eval_alu,
-    eval_cond,
+    to_i64,
 )
 from repro.isa.printer import format_instruction
 from repro.machine.btb import BranchTargetBuffer
@@ -93,8 +100,73 @@ FaultHandler = Callable[[FaultRecord, "VLIWMachine"], bool]
 DEFAULT_MAX_CYCLES = 50_000_000
 _MAX_CONSECUTIVE_STALLS = 1_000
 
+# Decoded op kinds, in issue-loop test order; every kind from _BR on is a
+# control transfer (never speculable).
+_ALU, _LOAD, _STORE, _OUT, _COND, _NOP, _BR, _BRF, _JUMP, _HALT = range(10)
+_KIND_OF_OPCODE = {
+    "ld": _LOAD,
+    "st": _STORE,
+    "out": _OUT,
+    "nop": _NOP,
+    "br": _BR,
+    "brf": _BRF,
+    "jmp": _JUMP,
+    "halt": _HALT,
+}
 
-@dataclass
+
+class _Op:
+    """One operation decoded for issue.
+
+    Everything the issue loop needs that does not depend on machine
+    state: the kind to dispatch on, the predicate's masks, the register
+    sources paired with their ``.s`` flags, the semantic function, and
+    (when an observer prints ops) the rendered instruction text.  The
+    operands are classified in one pass over the opcode's signature --
+    a machine decodes every op of a fresh program, and the
+    :class:`Instruction` views would each rescan it.
+    """
+
+    __slots__ = (
+        "op", "kind", "pred", "care", "want", "dest", "creg", "srcs",
+        "imm", "latency", "fn", "target", "text",
+    )
+
+    def __init__(self, op: Instruction, render: bool):
+        info = OPCODES[op.opcode]
+        self.op = op
+        self.pred = op.pred
+        self.care = op.pred.care
+        self.want = op.pred.want
+        self.dest = self.creg = self.imm = self.target = None
+        srcs = []
+        for position, (operand, role) in enumerate(
+            zip(op.operands, info.signature)
+        ):
+            if role == "rs":
+                srcs.append((operand.index, position in op.shadow))
+            elif role == "rd":
+                self.dest = operand.index
+            elif role in ("cd", "cu"):
+                # The condition register written (condition-set) or
+                # read (branch).
+                self.creg = operand.index
+            elif role == "imm":
+                self.imm = operand.value
+            else:
+                self.target = operand.name
+        self.srcs = tuple(srcs)
+        self.kind = _KIND_OF_OPCODE.get(
+            op.opcode, _COND if info.writes_creg else _ALU
+        )
+        self.latency = info.latency
+        self.fn = (
+            COND_SEMANTICS if self.kind == _COND else ALU_SEMANTICS
+        ).get(op.opcode)
+        self.text = format_instruction(op) if render else None
+
+
+@dataclass(slots=True)
 class _InFlight:
     """A result waiting for its writeback cycle.
 
@@ -187,7 +259,6 @@ class VLIWMachine:
         self.taint = taint
 
         self.ccr = CCR(config.ccr_entries)
-        self.control_path = ControlPath(self.ccr)
         self.regfile = PredicatedRegisterFile(
             NUM_REGS, shadow_capacity=config.shadow_capacity, sink=sink
         )
@@ -205,12 +276,6 @@ class VLIWMachine:
 
         self._in_flight: list[_InFlight] = []
         self._region_starts = program.region_starts()
-        # Store-buffer demand per bundle is static: precompute it so the
-        # per-cycle stall check is two comparisons, not an opcode scan.
-        self._bundle_store_ops = [
-            sum(1 for op in bundle if op.opcode in ("st", "out"))
-            for bundle in program.bundles
-        ]
         # Conservative "might a speculative fault be buffered?" flag.
         # Faults are rare; ``_exception_commits`` short-circuits on this
         # and re-scans (self-clearing it) only while it is raised.  Any
@@ -243,6 +308,12 @@ class VLIWMachine:
             for index, span in enumerate(program.regions):
                 for bundle in range(span.start, span.end):
                     self._region_of_bundle[bundle] = index
+            # Indexed by pc, with one slot past the end: recovery exit
+            # and the last bundle's fall-through leave pc there.
+            self._region_names: list[str | None] = [
+                program.regions[index].label
+                for index in self._region_of_bundle
+            ] + [None]
         if self._observing:
             self._current_region: int | None = None
             self._region_entry_cycle = 0
@@ -269,7 +340,7 @@ class VLIWMachine:
         self._halted = False
         self._result: VLIWResult | None = None
 
-        self._check_resources()
+        self._decode()
 
     @property
     def btb(self) -> BranchTargetBuffer | None:
@@ -277,10 +348,19 @@ class VLIWMachine:
         return self._btb
 
     # ------------------------------------------------------------------
-    # Static checks.
+    # Decode and static checks.
     # ------------------------------------------------------------------
-    def _check_resources(self) -> None:
-        """Reject schedules that oversubscribe the machine's resources."""
+    def _decode(self) -> None:
+        """Decode every bundle once, rejecting oversubscribed schedules.
+
+        Builds the per-bundle :class:`_Op` tuples the issue loop runs,
+        the static store-buffer demand of each bundle (so the stall check
+        is two comparisons), and -- only when an observer prints ops --
+        each bundle's rendered issue text.
+        """
+        render = self.tracer is not None or self.flight.enabled
+        self._bundles: list[tuple[_Op, ...]] = []
+        self._bundle_store_ops: list[int] = []
         for index, bundle in enumerate(self.program.bundles):
             if len(bundle) > self.config.issue_width:
                 raise ScheduleViolation(
@@ -295,6 +375,15 @@ class VLIWMachine:
                     raise ScheduleViolation(
                         f"bundle {index} oversubscribes {fu.value}: {used} > {limit}"
                     )
+            decoded = tuple(_Op(op, render) for op in bundle)
+            self._bundles.append(decoded)
+            self._bundle_store_ops.append(
+                sum(1 for d in decoded if d.kind in (_STORE, _OUT))
+            )
+        if render:
+            self._issue_text = [
+                "; ".join(d.text for d in bundle) for bundle in self._bundles
+            ]
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -321,7 +410,7 @@ class VLIWMachine:
                 f"{self.program.name}: exceeded {self.max_cycles} cycles",
                 self.snapshot(),
             )
-        if self.pc >= len(self.program.bundles):
+        if self.pc >= len(self._bundles):
             raise ProgramOverrun(
                 "ran off the end of the program", self.snapshot()
             )
@@ -334,8 +423,10 @@ class VLIWMachine:
             self.events.append(self._cycle_events)
         self._tick()
 
-        bundle = self.program.bundles[self.pc]
-        if self._must_stall(bundle):
+        needs_buffer = self._bundle_store_ops[self.pc]
+        if needs_buffer and (
+            len(self.store_buffer) + needs_buffer > self.store_buffer.capacity
+        ):
             self._stalls += 1
             if self._observing:
                 self.sink.count("machine.stall_cycles")
@@ -347,7 +438,7 @@ class VLIWMachine:
             return True
         self._stalls = 0
 
-        if self._issue_and_finish(bundle):
+        if self._issue_and_finish(self._bundles[self.pc]):
             self._finalize()
             return False
         return True
@@ -381,6 +472,12 @@ class VLIWMachine:
         return self._result
 
     def _tick(self) -> None:
+        # With nothing buffered the commit hardware has no work and
+        # nothing to report; only a metrics sink samples idle cycles.
+        if not (
+            self.regfile.live or len(self.store_buffer) or self._observing
+        ):
+            return
         rf_events = self.regfile.tick(self.ccr)
         sb_events = self.store_buffer.tick(self.ccr, self.memory, self.output)
         if self._forensics:
@@ -407,13 +504,6 @@ class VLIWMachine:
             raise AssertionError(
                 "exception commit escaped the combinational check"
             )
-
-    def _must_stall(self, bundle) -> bool:
-        needs_buffer = self._bundle_store_ops[self.pc]
-        return needs_buffer > 0 and (
-            len(self.store_buffer) + needs_buffer
-            > self.store_buffer.capacity
-        )
 
     # ------------------------------------------------------------------
     # Observability.
@@ -451,7 +541,7 @@ class VLIWMachine:
         if region_index != self._current_region:
             self._note_region_change(region_index)
         self.sink.count("machine.cycles")
-        self.sink.count(f"region.cycles/{self._region_label(region_index)}")
+        self.sink.count(f"region.cycles/{self._region_names[self.pc]}")
         if self.mode is MachineMode.RECOVERY:
             self.sink.count("machine.recovery.cycles")
 
@@ -466,8 +556,8 @@ class VLIWMachine:
         self._current_region = region_index
         self._region_entry_cycle = self.cycle
 
-    def _observe_issue(self, bundle) -> None:
-        label = self._region_label(self._region_of_bundle[self.pc])
+    def _observe_issue(self, bundle: tuple[_Op, ...]) -> None:
+        label = self._region_names[self.pc]
         self.sink.count("machine.bundles")
         self.sink.count("machine.ops.issued", len(bundle))
         self.sink.count(f"region.bundles/{label}")
@@ -478,23 +568,22 @@ class VLIWMachine:
             for origin in provenance[self.pc]:
                 self.sink.count(f"block.ops/B{origin}")
 
-    def _observe_op(
-        self, op: Instruction, verdict: PredValue, squashed: bool
-    ) -> None:
+    def _observe_op(self, d: _Op, speculative: bool, squashed: bool) -> None:
         if squashed:
             self.sink.count("machine.ops.squashed")
-        elif verdict is PredValue.UNSPEC:
+        elif speculative:
             self.sink.count("machine.ops.speculative")
         if self.tracer is not None:
+            verdict = "UNSPEC" if speculative else "TRUE"
             self.tracer.op(
                 self.cycle,
-                op.fu.value,
-                op.opcode,
-                duration=1 if squashed else op.latency,
+                d.op.fu.value,
+                d.op.opcode,
+                duration=1 if squashed else d.latency,
                 args={
-                    "instr": format_instruction(op),
-                    "pred": str(op.pred),
-                    "verdict": "SQUASHED" if squashed else verdict.name,
+                    "instr": d.text,
+                    "pred": str(d.pred),
+                    "verdict": "SQUASHED" if squashed else verdict,
                     "pc": self.pc,
                 },
             )
@@ -530,9 +619,13 @@ class VLIWMachine:
     # and the halt-time drain.
     # ------------------------------------------------------------------
     def _region_name(self) -> str | None:
-        if 0 <= self.pc < len(self._region_of_bundle):
-            return self._region_label(self._region_of_bundle[self.pc])
-        return None
+        return self._region_names[self.pc]
+
+    def _record(self, kind: str, detail: str, pred: str | None = None) -> None:
+        """One flight event at the current cycle, pc and region."""
+        self.flight.record(
+            self.cycle, self.pc, self._region_names[self.pc], kind, detail, pred
+        )
 
     def _forensic_tick(self, rf_events, sb_events) -> None:
         region = self._region_name()
@@ -568,47 +661,20 @@ class VLIWMachine:
             if effects is not None:
                 effects.emit_out(value, cycle=cycle, pc=pc, region=region)
 
-    def _forensic_issue(self, bundle) -> None:
-        if not self.flight.enabled:
-            return
-        ops = "; ".join(format_instruction(op) for op in bundle)
-        mode = "[recovery] " if self.mode is MachineMode.RECOVERY else ""
-        self.flight.record(
-            self.cycle, self.pc, self._region_name(), "issue", f"{mode}{ops}"
-        )
-
     def _forensic_writeback(self, entry: _InFlight, *, shadow: bool) -> None:
         if entry.reg == self.regfile.zero_reg:
             return
-        region = self._region_name()
         pred = None if entry.pred.is_always else str(entry.pred)
-        if shadow:
-            if self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    region,
-                    "reg.shadow",
-                    f"r{entry.reg} = {entry.value}",
-                    pred,
-                )
-            return
+        text = f"r{entry.reg} = {entry.value}"
         if self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                region,
-                "reg.write",
-                f"r{entry.reg} = {entry.value}",
-                pred,
-            )
-        if self.effects is not None:
+            self._record("reg.shadow" if shadow else "reg.write", text, pred)
+        if not shadow and self.effects is not None:
             self.effects.emit_reg(
                 entry.reg,
                 entry.value,
                 cycle=self.cycle,
                 pc=self.pc,
-                region=region,
+                region=self._region_name(),
                 pred=pred,
             )
 
@@ -616,14 +682,7 @@ class VLIWMachine:
         where = fault.address if fault.address is not None else "?"
         pred_text = None if pred is None or pred.is_always else str(pred)
         if self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                kind,
-                f"{fault.kind.value}@{where}",
-                pred_text,
-            )
+            self._record(kind, f"{fault.kind.value}@{where}", pred_text)
         if kind == "fault.handled" and self.effects is not None:
             self.effects.emit_fault(
                 fault.kind.value,
@@ -637,79 +696,128 @@ class VLIWMachine:
     # ------------------------------------------------------------------
     # Issue.
     # ------------------------------------------------------------------
-    def _issue_and_finish(self, bundle) -> bool:
+    def _issue_and_finish(self, bundle: tuple[_Op, ...]) -> bool:
         """Issue *bundle*, run end-of-cycle steps; returns True on halt."""
         self.bundles_issued += 1
         self.issued_ops += len(bundle)
         self._last_issued.append((self.cycle, self.pc))
-        if self._observing:
+        observing = self._observing
+        if observing:
             self._observe_issue(bundle)
-        if self._forensics:
-            self._forensic_issue(bundle)
         in_recovery = self.mode is MachineMode.RECOVERY
+        if self._forensics and self.flight.enabled:
+            mode = "[recovery] " if in_recovery else ""
+            self._record("issue", mode + self._issue_text[self.pc])
         pending_ccr: list[tuple[int, bool]] = []
         pending_transfer: str | None = None
         halted = False
+        # The control path: the CCR does not change while a bundle issues,
+        # so its masks are read once for every slot's verdict.
+        unknown, bits = ~self.ccr.known, self.ccr.bits
 
-        for op in bundle:
-            verdict = self._verdict(op)
-            if in_recovery and verdict is not PredValue.UNSPEC:
-                # Recovery squashes everything the current condition decides.
-                self.squashed_ops += 1
-                if self._observing:
-                    self._observe_op(op, verdict, squashed=True)
-                continue
-            if verdict is PredValue.FALSE:
-                self.squashed_ops += 1
-                if self._observing:
-                    self._observe_op(op, verdict, squashed=True)
-                continue
-            if verdict is PredValue.UNSPEC:
+        for d in bundle:
+            kind = d.kind
+            care = d.care
+            if care & unknown:  # UNSPEC: execute speculatively
+                if kind >= _BR:
+                    raise ScheduleViolation(
+                        "control transfer issued with unspecified "
+                        f"predicate: {d.op}"
+                    )
+                if kind == _COND:
+                    raise ScheduleViolation(
+                        f"condition-set issued with unspecified predicate: {d.op}"
+                    )
+                speculative = True
                 self.speculative_ops += 1
-            if self._observing:
-                self._observe_op(op, verdict, squashed=False)
-            result = self._execute(op, verdict)
-            if result is not None:
-                kind, payload = result
-                if kind == "ccr":
-                    pending_ccr.append(payload)
-                elif kind == "transfer":
-                    if pending_transfer is not None:
-                        raise ScheduleViolation(
-                            "two taken transfers in one bundle"
+            elif in_recovery or (bits ^ d.want) & care:
+                # FALSE squashes at issue; recovery squashes everything
+                # the current condition decides.
+                self.squashed_ops += 1
+                if observing:
+                    self._observe_op(d, False, squashed=True)
+                continue
+            else:
+                speculative = False
+            if observing:
+                self._observe_op(d, speculative, squashed=False)
+
+            if kind == _ALU:
+                try:
+                    value = to_i64(d.fn(*self._operands(d)))
+                except ArithmeticFault as error:
+                    self._alu_fault(d, speculative, error)
+                    continue
+                self._schedule_writeback(
+                    d,
+                    value,
+                    speculative,
+                    taint=self._operand_taint(d) if self._taint else None,
+                )
+            elif kind == _LOAD:
+                self._execute_load(d, speculative)
+            elif kind == _STORE:
+                self._execute_store(d, speculative)
+            elif kind == _OUT:
+                self._execute_out(d, speculative)
+            elif kind == _COND:
+                values = self._operands(d)
+                if self._taint:
+                    taint = self._operand_taint(d)
+                    if taint is not None:
+                        # Propagation, not (by default) a leak: compiled
+                        # condition-sets are re-predicated ``alw`` yet keep
+                        # their home path, so they legitimately read shadow
+                        # state of unresolved speculative loads.
+                        self.taint.ccr_write(
+                            d.creg,
+                            taint,
+                            self.cycle,
+                            self.pc,
+                            self._region_name(),
                         )
-                    pending_transfer = payload
-                elif kind == "halt":
-                    halted = True
+                pending_ccr.append((d.creg, d.fn(*values)))
+            elif kind == _HALT:
+                halted = True
+            elif kind != _NOP:  # br, brf, jmp
+                if kind != _JUMP:
+                    condition = self.ccr.get(d.creg)
+                    if condition is None:
+                        raise ScheduleViolation(
+                            f"branch on unspecified condition: {d.op}"
+                        )
+                    if condition is not (kind == _BR):
+                        continue  # not taken
+                if pending_transfer is not None:
+                    raise ScheduleViolation("two taken transfers in one bundle")
+                pending_transfer = d.target
 
         # ---- end of cycle -------------------------------------------------
         # Cloning (and copying back) the CCR is only needed on cycles
         # with condition-set results; on quiet cycles the live register
-        # doubles as its own next state, keeping its evaluation memo warm.
+        # doubles as its own next state.
         if pending_ccr:
             ccr_next = self.ccr.clone()
             for index, value in pending_ccr:
                 ccr_next.set(index, value)
                 if self._cycle_events is not None:
                     self._cycle_events.ccr_sets.append((index, value))
-                if self._observing:
+                if observing:
                     self.sink.count("machine.ccr_sets")
                     if self.tracer is not None:
                         self.tracer.instant(
                             self.cycle, "ccr", f"c{index}={int(value)}"
                         )
                 if self._forensics and self.flight.enabled:
-                    self.flight.record(
-                        self.cycle,
-                        self.pc,
-                        self._region_name(),
-                        "ccr.write",
-                        f"c{index} = {int(value)}",
-                    )
+                    self._record("ccr.write", f"c{index} = {int(value)}")
         else:
             ccr_next = self.ccr
 
-        if self.mode is MachineMode.NORMAL and self._exception_commits(ccr_next):
+        if (
+            self.mode is MachineMode.NORMAL
+            and self._maybe_fault
+            and self._exception_commits(ccr_next)
+        ):
             # The future CCR must be a private instance even when no
             # condition was set this cycle (CCR-corruption injection can
             # commit an E flag under the *unchanged* register).
@@ -735,193 +843,134 @@ class VLIWMachine:
             self.pc += 1
         return False
 
-    def _verdict(self, op: Instruction) -> PredValue:
-        verdict = self.control_path.evaluate(op)
-        if verdict is PredValue.UNSPEC and op.is_cond_set:
-            raise ScheduleViolation(
-                f"condition-set issued with unspecified predicate: {op}"
-            )
-        return verdict
+    def _operands(self, d: _Op) -> list[int]:
+        """Source values in operand order, then the immediate.
 
-    def _execute(
-        self, op: Instruction, verdict: PredValue
-    ) -> tuple[str, object] | None:
-        """Execute one op; returns a deferred end-of-cycle action."""
-        opcode = op.opcode
-        if opcode == "nop":
-            return None
-        if opcode == "halt":
-            return ("halt", None)
-        if opcode == "jmp":
-            return ("transfer", op.target)
-        if opcode in ("br", "brf"):
-            condition = self.ccr.get(op.src_cregs[0])
-            if condition is None:
-                raise ScheduleViolation(f"branch on unspecified condition: {op}")
-            taken = condition if opcode == "br" else not condition
-            return ("transfer", op.target) if taken else None
+        A ``.s`` source reads the newest buffered value on a path the
+        reader can commit on, falling back to the sequential storage
+        (:meth:`PredicatedRegisterFile.read`).
+        """
+        regfile = self.regfile
+        entries = regfile.entries
+        values = []
+        for reg, shadow in d.srcs:
+            entry = entries[reg]
+            if shadow and entry.pending:
+                values.append(regfile.read(reg, shadow=True, reader_pred=d.pred))
+            else:
+                values.append(entry.sequential)
+        if d.imm is not None:
+            values.append(d.imm)
+        return values
 
-        speculative = verdict is PredValue.UNSPEC
-        if opcode == "ld":
-            return self._execute_load(op, speculative)
-        if opcode == "st":
-            self._execute_store(op, speculative)
-            return None
-        if opcode == "out":
-            value = self._read_src(op, 0)
-            taint = None
-            if self._taint:
-                taint = self._sink_taint(
-                    op,
-                    self._src_taint(op, 0),
-                    speculative,
-                    "output",
-                    f"out {value}",
-                )
-            serial = self.store_buffer.append(
-                None, value, op.pred, speculative=speculative, taint=taint
-            )
-            if self._forensics and self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    self._region_name(),
-                    "sb.insert",
-                    f"entry {serial}: out {value}",
-                    str(op.pred) if speculative else None,
-                )
-            return None
-        if op.is_cond_set:
-            values = self._source_values(op)
-            if self._taint:
-                taint = self._operand_taint(op)
-                if taint is not None:
-                    # Propagation, not (by default) a leak: compiled
-                    # condition-sets are re-predicated ``alw`` yet keep
-                    # their home path, so they legitimately read shadow
-                    # state of unresolved speculative loads.
-                    self.taint.ccr_write(
-                        op.dest_creg,
-                        taint,
-                        self.cycle,
-                        self.pc,
-                        self._region_name(),
-                    )
-            return ("ccr", (op.dest_creg, eval_cond(opcode, *values)))
-
-        # Plain ALU operation.
-        values = self._source_values(op)
-        try:
-            value = eval_alu(opcode, *values)
-        except ArithmeticFault as error:
-            self._handle_fault(
-                op,
-                speculative,
-                FaultRecord(
-                    kind=FaultKind.ARITHMETIC,
-                    instruction_uid=op.uid,
-                    detail=str(error),
-                ),
-                retry=lambda: eval_alu(opcode, *self._source_values(op)),
-            )
-            return None
-        self._schedule_writeback(
-            op,
-            value,
+    def _alu_fault(self, d: _Op, speculative: bool, error: ArithmeticFault) -> None:
+        self._handle_fault(
+            d,
             speculative,
-            taint=self._operand_taint(op) if self._taint else None,
+            FaultRecord(
+                kind=FaultKind.ARITHMETIC,
+                instruction_uid=d.op.uid,
+                detail=str(error),
+            ),
+            retry=lambda: to_i64(d.fn(*self._operands(d))),
         )
-        return None
 
-    def _execute_load(
-        self, op: Instruction, speculative: bool
-    ) -> None:
-        address = effective_address(self._read_src(op, 0), op.imm or 0)
-        reader_pred = op.pred if speculative else ALWAYS
+    def _execute_out(self, d: _Op, speculative: bool) -> None:
+        (value,) = self._operands(d)
+        taint = None
+        if self._taint:
+            taint = self._sink_taint(
+                d,
+                self._src_taint(d, 0),
+                speculative,
+                "output",
+                f"out {value}",
+            )
+        serial = self.store_buffer.append(
+            None, value, d.pred, speculative=speculative, taint=taint
+        )
+        if self._forensics and self.flight.enabled:
+            self._record(
+                "sb.insert",
+                f"entry {serial}: out {value}",
+                str(d.pred) if speculative else None,
+            )
+
+    def _execute_load(self, d: _Op, speculative: bool) -> None:
+        base, offset = self._operands(d)
+        address = effective_address(base, offset)
+        reader_pred = d.pred if speculative else ALWAYS
         forwarded = self.store_buffer.lookup(address, reader_pred)
         if self._forensics and self.flight.enabled:
             outcome = "miss" if forwarded is None else f"hit {forwarded}"
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
+            self._record(
                 "sb.lookup",
                 f"mem[{address}] {outcome}",
-                str(op.pred) if speculative else None,
+                str(d.pred) if speculative else None,
             )
-        if forwarded is not None:
-            self._schedule_writeback(
-                op,
-                forwarded,
-                speculative,
-                taint=(
-                    self._load_taint(op, address, reader_pred, speculative)
-                    if self._taint
-                    else None
-                ),
-            )
-            return None
-        try:
-            value = self.memory.load(address)
-        except MemoryFault as error:
-            self._handle_fault(
-                op,
-                speculative,
-                FaultRecord(
-                    kind=FaultKind.MEMORY,
-                    instruction_uid=op.uid,
-                    address=error.address,
-                    detail=str(error),
-                ),
-                retry=lambda: self.memory.load(address),
-            )
-            return None
+        if forwarded is None:
+            try:
+                value = self.memory.load(address)
+            except MemoryFault as error:
+                self._handle_fault(
+                    d,
+                    speculative,
+                    FaultRecord(
+                        kind=FaultKind.MEMORY,
+                        instruction_uid=d.op.uid,
+                        address=error.address,
+                        detail=str(error),
+                    ),
+                    retry=lambda: self.memory.load(address),
+                )
+                return
+        else:
+            value = forwarded
         self._schedule_writeback(
-            op,
+            d,
             value,
             speculative,
             taint=(
-                self._load_taint(op, address, reader_pred, speculative)
+                self._load_taint(d, address, reader_pred, speculative)
                 if self._taint
                 else None
             ),
         )
-        return None
 
-    def _execute_store(self, op: Instruction, speculative: bool) -> None:
-        value = self._read_src(op, 0)
-        address = effective_address(self._read_src(op, 1), op.imm or 0)
+    def _execute_store(self, d: _Op, speculative: bool) -> None:
+        value, base, offset = self._operands(d)
+        address = effective_address(base, offset)
         fault: FaultRecord | None = None
         if not self.memory.is_valid(address):
             fault = FaultRecord(
                 kind=FaultKind.MEMORY,
-                instruction_uid=op.uid,
+                instruction_uid=d.op.uid,
                 address=address,
                 detail=f"store to invalid address {address}",
             )
             if not speculative:
-                self._handle_nonspeculative_fault(op, fault)
+                self._handle_nonspeculative_fault(d, fault)
                 # The handler repaired state; the store proceeds.
                 fault = None
             else:
-                decision = self._future_verdict(op)
+                decision = self._future_verdict(d)
                 if decision is PredValue.TRUE:
-                    self._handle_nonspeculative_fault(op, fault)
+                    self._handle_nonspeculative_fault(d, fault)
                     fault = None
                 elif decision is PredValue.FALSE:
                     fault = None
         if fault is not None:
             self._maybe_fault = True
             if self._forensics:
-                self._forensic_fault("fault.buffer", fault, op.pred)
+                self._forensic_fault("fault.buffer", fault, d.pred)
         taint = None
         if self._taint:
             taint = merge_taint(
-                self._src_taint(op, 0),
-                rekind_address(self._src_taint(op, 1)),
+                self._src_taint(d, 0),
+                rekind_address(self._src_taint(d, 1)),
             )
             taint = self._sink_taint(
-                op, taint, speculative, "memory", f"mem[{address}] = {value}"
+                d, taint, speculative, "memory", f"mem[{address}] = {value}"
             )
             if taint is not None and not speculative:
                 tracker = self.taint
@@ -931,23 +980,20 @@ class VLIWMachine:
         serial = self.store_buffer.append(
             address,
             value,
-            op.pred,
+            d.pred,
             speculative=speculative,
             fault=fault,
             taint=taint,
         )
         if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
+            self._record(
                 "sb.insert",
                 f"entry {serial}: mem[{address}] = {value}",
-                str(op.pred) if speculative else None,
+                str(d.pred) if speculative else None,
             )
         if self._cycle_events is not None and speculative:
             self._cycle_events.speculative_writes.append(
-                (f"sb{serial}", str(op.pred))
+                (f"sb{serial}", str(d.pred))
             )
 
     # ------------------------------------------------------------------
@@ -955,7 +1001,7 @@ class VLIWMachine:
     # ------------------------------------------------------------------
     def _handle_fault(
         self,
-        op: Instruction,
+        d: _Op,
         speculative: bool,
         fault: FaultRecord,
         retry: Callable[[], int],
@@ -968,59 +1014,38 @@ class VLIWMachine:
         the E flag again.
         """
         if not speculative:
-            self._handle_nonspeculative_fault(op, fault)
+            self._handle_nonspeculative_fault(d, fault)
             value = retry()  # the handler repaired state; must now succeed
-            self._schedule_writeback(op, value, speculative=False)
+            self._schedule_writeback(d, value, speculative=False)
             return
-        decision = self._future_verdict(op)
+        decision = self._future_verdict(d)
         if decision is PredValue.TRUE:
-            self._handle_nonspeculative_fault(op, fault)
+            self._handle_nonspeculative_fault(d, fault)
             value = retry()
-            self._schedule_writeback(op, value, speculative=True)
+            self._schedule_writeback(d, value, speculative=True)
         elif decision is PredValue.FALSE:
-            self._schedule_writeback(op, 0, speculative=True)
+            self._schedule_writeback(d, 0, speculative=True)
         else:
             if self._forensics:
-                self._forensic_fault("fault.buffer", fault, op.pred)
-            self._schedule_writeback(op, 0, speculative=True, fault=fault)
+                self._forensic_fault("fault.buffer", fault, d.pred)
+            self._schedule_writeback(d, 0, speculative=True, fault=fault)
 
-    def _future_verdict(self, op: Instruction) -> PredValue:
-        """Decide *op*'s fault fate: UNSPEC outside recovery (buffer it)."""
+    def _future_verdict(self, d: _Op) -> PredValue:
+        """Decide *d*'s fault fate: UNSPEC outside recovery (buffer it)."""
         if self.mode is MachineMode.NORMAL or self.future_ccr is None:
             return PredValue.UNSPEC
-        return self.future_ccr.evaluate(op.pred)
+        return self.future_ccr.evaluate(d.pred)
 
-    def _handle_nonspeculative_fault(
-        self, op: Instruction, fault: FaultRecord
-    ) -> None:
+    def _handle_nonspeculative_fault(self, d: _Op, fault: FaultRecord) -> None:
         if self.fault_handler is None or not self.fault_handler(fault, self):
             if self._forensics:
-                self._forensic_fault("fault.unhandled", fault, op.pred)
+                self._forensic_fault("fault.unhandled", fault, d.pred)
             raise UnhandledFault(fault)
         self.handled_faults += 1
         if self._observing:
             self.sink.count("machine.faults.handled")
         if self._forensics:
-            self._forensic_fault("fault.handled", fault, op.pred)
-
-    # ------------------------------------------------------------------
-    # Operand access and writeback.
-    # ------------------------------------------------------------------
-    def _read_src(self, op: Instruction, source_number: int) -> int:
-        positions = op.source_positions
-        position = positions[source_number]
-        reg = op.src_regs[source_number]
-        return self.regfile.read(
-            reg, shadow=position in op.shadow, reader_pred=op.pred
-        )
-
-    def _source_values(self, op: Instruction) -> list[int]:
-        values = [
-            self._read_src(op, number) for number in range(len(op.src_regs))
-        ]
-        if op.imm is not None:
-            values.append(op.imm)
-        return values
+            self._forensic_fault("fault.handled", fault, d.pred)
 
     # ------------------------------------------------------------------
     # Taint flow.  Every call site is guarded by the cached ``_taint``
@@ -1028,28 +1053,26 @@ class VLIWMachine:
     # pays one branch per site and none of these methods execute.
     # ------------------------------------------------------------------
     def _src_taint(
-        self, op: Instruction, source_number: int
+        self, d: _Op, source_number: int
     ) -> frozenset[TaintTag] | None:
-        """The taint the matching :meth:`_read_src` observed: a shadow
-        hit's buffered taint, else the sequential register's tracker
-        taint."""
-        positions = op.source_positions
-        reg = op.src_regs[source_number]
-        if positions[source_number] in op.shadow:
-            hit, taint = self.regfile.shadow_taint(reg, op.pred)
+        """The taint the matching operand read observed: a shadow hit's
+        buffered taint, else the sequential register's tracker taint."""
+        reg, shadow = d.srcs[source_number]
+        if shadow:
+            hit, taint = self.regfile.shadow_taint(reg, d.pred)
             if hit:
                 return taint
         return self.taint.reg_taint.get(reg)
 
-    def _operand_taint(self, op: Instruction) -> frozenset[TaintTag] | None:
+    def _operand_taint(self, d: _Op) -> frozenset[TaintTag] | None:
         taint: frozenset[TaintTag] | None = None
-        for number in range(len(op.src_regs)):
-            taint = merge_taint(taint, self._src_taint(op, number))
+        for number in range(len(d.srcs)):
+            taint = merge_taint(taint, self._src_taint(d, number))
         return taint
 
     def _load_taint(
         self,
-        op: Instruction,
+        d: _Op,
         address: int,
         reader_pred: Predicate,
         speculative: bool,
@@ -1061,7 +1084,7 @@ class VLIWMachine:
         hit, taint = self.store_buffer.lookup_taint(address, reader_pred)
         if not hit:
             taint = self.taint.mem_taint.get(address)
-        taint = merge_taint(taint, rekind_address(self._src_taint(op, 0)))
+        taint = merge_taint(taint, rekind_address(self._src_taint(d, 0)))
         if speculative:
             taint = merge_taint(
                 taint,
@@ -1073,7 +1096,7 @@ class VLIWMachine:
 
     def _sink_taint(
         self,
-        op: Instruction,
+        d: _Op,
         taint: frozenset[TaintTag] | None,
         speculative: bool,
         kind: str,
@@ -1092,7 +1115,7 @@ class VLIWMachine:
         """
         if taint is None or speculative:
             return taint
-        if op.pred.is_always:
+        if d.pred.is_always:
             self.taint.leak(
                 kind, self.cycle, self.pc, self._region_name(), detail, taint
             )
@@ -1126,61 +1149,51 @@ class VLIWMachine:
             tracker.declassify()
             tracker.reg_taint.pop(entry.reg, None)
 
+    # ------------------------------------------------------------------
+    # Writeback.
+    # ------------------------------------------------------------------
     def _schedule_writeback(
         self,
-        op: Instruction,
+        d: _Op,
         value: int,
         speculative: bool,
         fault: FaultRecord | None = None,
         taint: frozenset[TaintTag] | None = None,
     ) -> None:
-        dest = op.dest_reg
+        dest = d.dest
         if dest is None:
             return
         if fault is not None:
             self._maybe_fault = True
-        if taint is not None and not speculative and not op.pred.is_always:
+        if taint is not None and not speculative and d.care:
             # A predicated op whose verdict was TRUE at issue flies with
             # the ALWAYS predicate below, which would defeat the
             # is_always leak test at commit -- declassify here instead
             # (the op's own speculation is already confirmed).
             self.taint.declassify()
             taint = None
-        pred = op.pred if speculative else ALWAYS
         self._in_flight.append(
             _InFlight(
-                due_cycle=self.cycle + op.latency - 1,
-                reg=dest,
-                value=value,
-                pred=pred,
-                fault=fault,
-                taint=taint,
+                self.cycle + d.latency - 1,
+                dest,
+                value,
+                d.pred if speculative else ALWAYS,
+                fault,
+                taint,
             )
         )
 
     def _apply_due_writebacks(self, ccr: CCR) -> None:
+        if not self._in_flight:
+            return
+        unknown, bits = ~ccr.known, ccr.bits
         still_flying: list[_InFlight] = []
         for entry in self._in_flight:
             if entry.due_cycle > self.cycle:
                 still_flying.append(entry)
                 continue
-            verdict = ccr.evaluate(entry.pred)
-            if verdict is PredValue.TRUE:
-                if entry.fault is not None:
-                    # Unreachable: _exception_commits scans in-flight
-                    # faults before any CCR update can make them TRUE.
-                    raise AssertionError(
-                        "exception commit escaped the combinational check"
-                    )
-                self.regfile.supersede_pending(entry.reg, ccr)
-                self.regfile.write_sequential(entry.reg, entry.value)
-                if self._taint:
-                    self._commit_taint(entry)
-                if self._cycle_events is not None:
-                    self._cycle_events.sequential_writes.append(entry.reg)
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=False)
-            elif verdict is PredValue.UNSPEC:
+            care = entry.pred.care
+            if care & unknown:  # UNSPEC: buffer in the shadow
                 self.regfile.write_speculative(
                     entry.reg,
                     entry.value,
@@ -1194,22 +1207,38 @@ class VLIWMachine:
                     )
                 if self._forensics:
                     self._forensic_writeback(entry, shadow=True)
+            elif not (bits ^ entry.pred.want) & care:  # TRUE
+                if entry.fault is not None:
+                    # Unreachable: _exception_commits scans in-flight
+                    # faults before any CCR update can make them TRUE.
+                    raise AssertionError(
+                        "exception commit escaped the combinational check"
+                    )
+                self._write_back(entry, ccr)
+                if self._cycle_events is not None:
+                    self._cycle_events.sequential_writes.append(entry.reg)
             # FALSE: discarded.
         self._in_flight = still_flying
 
     def _flush_in_flight(self) -> None:
         """Complete TRUE-under-current in-flight results; drop the rest."""
+        unknown, bits = ~self.ccr.known, self.ccr.bits
         for entry in self._in_flight:
-            if entry.fault is None and (
-                self.ccr.evaluate(entry.pred) is PredValue.TRUE
+            care = entry.pred.care
+            if entry.fault is None and not (
+                care & unknown or (bits ^ entry.pred.want) & care
             ):
-                self.regfile.supersede_pending(entry.reg, self.ccr)
-                self.regfile.write_sequential(entry.reg, entry.value)
-                if self._taint:
-                    self._commit_taint(entry)
-                if self._forensics:
-                    self._forensic_writeback(entry, shadow=False)
+                self._write_back(entry, self.ccr)
         self._in_flight = []
+
+    def _write_back(self, entry: _InFlight, ccr: CCR) -> None:
+        """Move a result whose predicate is TRUE into sequential state."""
+        self.regfile.supersede_pending(entry.reg, ccr)
+        self.regfile.write_sequential(entry.reg, entry.value)
+        if self._taint:
+            self._commit_taint(entry)
+        if self._forensics:
+            self._forensic_writeback(entry, shadow=False)
 
     # ------------------------------------------------------------------
     # Exception commit and recovery.
@@ -1217,33 +1246,26 @@ class VLIWMachine:
     def _exception_commits(self, ccr_next: CCR) -> bool:
         """Would updating the CCR commit any buffered E flag?
 
-        Guarded by ``_maybe_fault``: the flag is raised whenever the
-        machine buffers an E flag (or the fault injector plants one) and
-        lowered again by a full scan that finds no buffered fault left,
-        so fault-free execution pays one boolean test per cycle.
+        Called only while ``_maybe_fault`` is raised: the flag is raised
+        whenever the machine buffers an E flag (or the fault injector
+        plants one) and lowered again by a scan that finds no buffered
+        fault left, so fault-free execution pays one boolean test per
+        cycle.
         """
-        if not self._maybe_fault:
-            return False
+        unknown, bits = ~ccr_next.known, ccr_next.bits
+        buffered = [(f.pred, f.fault) for f in self._in_flight]
+        buffered += [(w.pred, w.fault) for _, w in self.regfile.pending_writes()]
+        buffered += [
+            (e.pred, e.fault)
+            for e in self.store_buffer.pending_entries()
+            if e.valid and e.speculative
+        ]
         fault_seen = False
-        for flying in self._in_flight:
-            if flying.fault is not None:
+        for pred, fault in buffered:
+            if fault is not None:
                 fault_seen = True
-                if ccr_next.evaluate(flying.pred) is PredValue.TRUE:
-                    return True
-        for entry in self.regfile.entries:
-            for write in entry.pending:
-                if write.fault is not None:
-                    fault_seen = True
-                    if ccr_next.evaluate(write.pred) is PredValue.TRUE:
-                        return True
-        for entry in self.store_buffer.pending_entries():
-            if (
-                entry.valid
-                and entry.speculative
-                and entry.fault is not None
-            ):
-                fault_seen = True
-                if ccr_next.evaluate(entry.pred) is PredValue.TRUE:
+                care = pred.care
+                if not (care & unknown or (bits ^ pred.want) & care):
                     return True
         if not fault_seen:
             self._maybe_fault = False
@@ -1263,12 +1285,8 @@ class VLIWMachine:
         self.pc = self.rpc
         self.mode = MachineMode.RECOVERY
         if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "recovery.enter",
-                f"rollback to rpc={self.rpc}, epc={self.epc}",
+            self._record(
+                "recovery.enter", f"rollback to rpc={self.rpc}, epc={self.epc}"
             )
 
     def _finish_recovery(self) -> None:
@@ -1289,13 +1307,7 @@ class VLIWMachine:
         self.pc = self.epc + 1
         self.epc = None
         if self._forensics and self.flight.enabled:
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "recovery.exit",
-                f"resume at pc={self.pc}",
-            )
+            self._record("recovery.exit", f"resume at pc={self.pc}")
 
     # ------------------------------------------------------------------
     # Transfers and halt.
@@ -1307,12 +1319,8 @@ class VLIWMachine:
             kind = (
                 "region" if destination in self._region_starts else "local"
             )
-            self.flight.record(
-                self.cycle,
-                self.pc,
-                self._region_name(),
-                "transfer",
-                f"{kind} -> {target} (pc={destination})",
+            self._record(
+                "transfer", f"{kind} -> {target} (pc={destination})"
             )
         if destination in self._region_starts:
             # Region transfer: speculative state is closed in the region --
@@ -1336,9 +1344,7 @@ class VLIWMachine:
             self.sink.count("machine.cycles", penalty)
             self.sink.count("machine.transfer_penalty_cycles", penalty)
             self.sink.count(
-                f"region.cycles/"
-                f"{self._region_label(self._region_of_bundle[self.pc])}",
-                penalty,
+                f"region.cycles/{self._region_names[self.pc]}", penalty
             )
         self.pc = destination
 
@@ -1354,10 +1360,4 @@ class VLIWMachine:
         if self._forensics:
             self._forensic_tick(CommitEvents(), drained)
             if self.flight.enabled:
-                self.flight.record(
-                    self.cycle,
-                    self.pc,
-                    self._region_name(),
-                    "halt",
-                    "store buffer drained",
-                )
+                self._record("halt", "store buffer drained")

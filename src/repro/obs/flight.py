@@ -12,7 +12,9 @@ hot paths guard with ``if recorder.enabled:`` (or a cached boolean) and
 pay only a predictable branch when forensics are off.  ``RingRecorder``
 keeps the last *capacity* events in a ``deque(maxlen=...)`` -- memory
 stays O(capacity) no matter how long the run is, which is the whole
-point of a flight recorder: you read it backwards from the crash.
+point of a flight recorder: you read it backwards from the crash.  It
+is written every cycle and read once, so it stores each event as a
+plain tuple and builds the :class:`FlightEvent` objects only when read.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class RingRecorder(FlightRecorder):
         self.capacity = capacity
         self.source = source
         self.seq = 0
-        self._ring: deque[FlightEvent] = deque(maxlen=capacity)
+        #: Raw ``FlightEvent`` field tuples, oldest first.
+        self._ring: deque[tuple] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -122,9 +125,7 @@ class RingRecorder(FlightRecorder):
         detail: str,
         pred: str | None = None,
     ) -> None:
-        self._ring.append(
-            FlightEvent(self.seq, cycle, pc, region, kind, detail, pred)
-        )
+        self._ring.append((self.seq, cycle, pc, region, kind, detail, pred))
         self.seq += 1
 
     @property
@@ -133,12 +134,12 @@ class RingRecorder(FlightRecorder):
         return self.seq - len(self._ring)
 
     def events(self) -> list[FlightEvent]:
-        return list(self._ring)
+        return [FlightEvent(*raw) for raw in self._ring]
 
     def window(self, anchor_seq: int, k: int) -> list[FlightEvent]:
         """Events with seq in ``[anchor-k, anchor+k]`` still in the ring."""
         lo, hi = anchor_seq - k, anchor_seq + k
-        return [event for event in self._ring if lo <= event.seq <= hi]
+        return [FlightEvent(*raw) for raw in self._ring if lo <= raw[0] <= hi]
 
     def to_dicts(self) -> list[dict]:
-        return [event.to_dict() for event in self._ring]
+        return [event.to_dict() for event in self.events()]

@@ -115,22 +115,13 @@ class InjectingMachine(VLIWMachine):
         super()._tick()
 
     # -- injection targets ---------------------------------------------
-    def _undecided(self, pred) -> bool:
-        """Undecided now *and* under the future condition (recovery)."""
-        if pred.evaluate(self.ccr.values()) is not PredValue.UNSPEC:
-            return False
-        if self.future_ccr is not None:
-            return pred.evaluate(self.future_ccr.values()) is PredValue.UNSPEC
-        return True
-
     def _try_inject(self) -> str | None:
         point = self.injection.point
         if point == "regfile":
             candidates = [
                 (reg, write)
-                for reg, entry in enumerate(self.regfile.entries)
-                for write in entry.pending
-                if write.fault is None and self._undecided(write.pred)
+                for reg, write in self.regfile.pending_writes()
+                if write.fault is None and _undecided(self, write.pred)
             ]
             if not candidates:
                 return None
@@ -144,7 +135,7 @@ class InjectingMachine(VLIWMachine):
                 if entry.speculative
                 and entry.valid
                 and entry.fault is None
-                and self._undecided(entry.pred)
+                and _undecided(self, entry.pred)
             ]
             if not candidates:
                 return None
@@ -173,6 +164,14 @@ class InjectingMachine(VLIWMachine):
         raise ValueError(f"unknown injection point {point!r}")
 
 
+def _undecided(machine: VLIWMachine, pred) -> bool:
+    """UNSPEC under the CCR and, in recovery, under the future CCR too."""
+    if machine.ccr.evaluate(pred) is not PredValue.UNSPEC:
+        return False
+    future = machine.future_ccr
+    return future is None or future.evaluate(pred) is PredValue.UNSPEC
+
+
 def _injected_fault() -> FaultRecord:
     return FaultRecord(
         kind=FaultKind.MEMORY,
@@ -195,22 +194,14 @@ class _ProbeMachine(VLIWMachine):
             point: [] for point in INJECTION_POINTS
         }
 
-    def _undecided(self, pred) -> bool:
-        if pred.evaluate(self.ccr.values()) is not PredValue.UNSPEC:
-            return False
-        if self.future_ccr is not None:
-            return pred.evaluate(self.future_ccr.values()) is PredValue.UNSPEC
-        return True
-
     def _tick(self) -> None:
         if any(
-            self._undecided(write.pred)
-            for entry in self.regfile.entries
-            for write in entry.pending
+            _undecided(self, write.pred)
+            for _, write in self.regfile.pending_writes()
         ):
             self.target_cycles["regfile"].append(self.cycle)
         if any(
-            entry.speculative and entry.valid and self._undecided(entry.pred)
+            entry.speculative and entry.valid and _undecided(self, entry.pred)
             for entry in self.store_buffer.pending_entries()
         ):
             self.target_cycles["store_buffer"].append(self.cycle)

@@ -8,7 +8,9 @@ falls outside the per-point allowance is a violation and fails the
 campaign.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +76,23 @@ class TestCampaign:
         applied = [r for r in report.results if r.outcome != "not_applied"]
         for result in applied:
             assert counters[f"faults.{result.point}.{result.outcome}"] >= 1
+
+
+class TestFrozenCampaigns:
+    """Campaign results are pinned trial by trial.
+
+    ``golden/fault_campaigns.json`` holds every trial (program seed,
+    trigger cycle, chosen target, outcome) of three campaigns, captured
+    before the register file tracked its live entries.  The probe and
+    the injector read the buffered state directly, so a change in which
+    targets they see -- or in their order, which the target RNG draws
+    from -- shows up here as a different detail or outcome.
+    """
+
+    GOLDEN = Path(__file__).with_name("golden") / "fault_campaigns.json"
+
+    @pytest.mark.parametrize("seed", (0, 5, 11))
+    def test_trials_match_the_frozen_campaign(self, seed):
+        expected = json.loads(self.GOLDEN.read_text())[str(seed)]
+        report = run_fault_campaign(24, seed=seed)
+        assert [dataclasses.asdict(r) for r in report.results] == expected

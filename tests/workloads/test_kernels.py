@@ -1,5 +1,7 @@
 """Tests for the six benchmark-analogue kernels."""
 
+import importlib
+
 import pytest
 
 from repro.analysis.branch_prediction import StaticPredictor
@@ -24,6 +26,24 @@ class TestRegistry:
         assert get_workload("grep").name == "grep"
         with pytest.raises(KeyError):
             get_workload("doom")
+
+    def test_get_workload_parses_only_the_named_kernel(self, monkeypatch):
+        # serve resolves every job through get_workload; building all six
+        # kernels per job parsed six programs for the one it needed.
+        from repro.isa.parser import parse_program
+        from repro.workloads.registry import KERNELS
+
+        parsed = []
+
+        def counting(source, **kwargs):
+            parsed.append(kwargs.get("name"))
+            return parse_program(source, **kwargs)
+
+        for name in KERNELS:
+            module = importlib.import_module(f"repro.workloads.{name}")
+            monkeypatch.setattr(module, "parse_program", counting)
+        assert get_workload("li").name == "li"
+        assert parsed == ["li"]
 
 
 class TestExecution:
