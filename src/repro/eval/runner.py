@@ -17,9 +17,9 @@ prediction-accuracy vector, a hardware-cost report.  A
 
 :class:`ExperimentContext` (shared by every driver in
 :mod:`repro.eval.experiments`) owns the workload set, the in-process
-scalar-baseline cache, and a :class:`CellRunner` carrying the
-parallelism/caching knobs plus hit/miss and per-cell wall-time
-telemetry.
+memo of scalar runs (baselines and unrolled programs), and a
+:class:`CellRunner` carrying the parallelism/caching knobs plus
+hit/miss and per-cell wall-time telemetry.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.compiler.policy import ModelPolicy
 from repro.eval import hwcost as hwcost_model
 from repro.ir.cfg import CFG, build_cfg
 from repro.isa.printer import format_program
+from repro.isa.program import Program
 from repro.machine.config import MachineConfig
 from repro.machine.scalar import ScalarRun, run_scalar
 from repro.machine.vliw import VLIWMachine
@@ -164,9 +165,12 @@ def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class WorkloadBaseline:
-    """Cached scalar behaviour of one workload."""
+    """Cached scalar behaviour of one workload's program (the original,
+    or an unrolled copy): its CFG, the predictor its training run
+    profiles, and its evaluation run."""
 
     workload: Workload
+    program: Program
     cfg: CFG
     predictor: StaticPredictor
     evaluation: ScalarRun
@@ -203,6 +207,7 @@ class ExperimentContext:
     ):
         self.workloads = workloads if workloads is not None else all_workloads()
         self._baselines: dict[str, WorkloadBaseline] = {}
+        self._unrolled: dict[tuple[str, int], WorkloadBaseline] = {}
         self.sink = sink
         self.journal = journal
         self.checkpoint_every = (
@@ -228,19 +233,36 @@ class ExperimentContext:
 
     def baseline(self, workload: Workload) -> WorkloadBaseline:
         if workload.name not in self._baselines:
-            cfg = build_cfg(workload.program)
-            train = run_scalar(workload.program, cfg, workload.train_memory())
-            predictor = StaticPredictor.from_trace(train.trace)
-            evaluation = run_scalar(
-                workload.program, cfg, workload.eval_memory()
-            )
-            self._baselines[workload.name] = WorkloadBaseline(
-                workload=workload,
-                cfg=cfg,
-                predictor=predictor,
-                evaluation=evaluation,
+            self._baselines[workload.name] = _scalar_runs(
+                workload, workload.program
             )
         return self._baselines[workload.name]
+
+    def unrolled(self, workload: Workload, factor: int) -> WorkloadBaseline:
+        """:meth:`baseline`'s runs of *workload* with every loop unrolled
+        *factor* times, memoized on the context the same way.
+
+        Factor 1 is the baseline entry itself.  The unrolled program
+        must print what the original prints; that is checked once, when
+        the entry is filled.
+        """
+        if factor == 1:
+            return self.baseline(workload)
+        key = (workload.name, factor)
+        if key not in self._unrolled:
+            from repro.compiler.unroll import unroll_loops
+
+            program = unroll_loops(
+                build_cfg(workload.program), factor
+            ).to_program()
+            entry = _scalar_runs(workload, program)
+            original = self.baseline(workload).evaluation
+            if entry.evaluation.output != original.output:
+                raise AssertionError(
+                    f"{workload.name}: unrolling changed semantics"
+                )
+            self._unrolled[key] = entry
+        return self._unrolled[key]
 
     def speedup(
         self,
@@ -335,6 +357,22 @@ class ExperimentContext:
     def run_cells(self, specs: list[CellSpec]) -> list[dict]:
         """Evaluate *specs* (cached, possibly in parallel), in order."""
         return self.runner.run(specs)
+
+
+def _scalar_runs(workload: Workload, program: Program) -> WorkloadBaseline:
+    """Profile *program* on *workload*'s training input, then run it on
+    the evaluation input."""
+    cfg = build_cfg(program)
+    train = run_scalar(program, cfg, workload.train_memory())
+    predictor = StaticPredictor.from_trace(train.trace)
+    evaluation = run_scalar(program, cfg, workload.eval_memory())
+    return WorkloadBaseline(
+        workload=workload,
+        program=program,
+        cfg=cfg,
+        predictor=predictor,
+        evaluation=evaluation,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -451,29 +489,16 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
 
     if spec.kind == "unroll":
         assert spec.config is not None
-        from repro.compiler.unroll import unroll_loops
-
         factor = spec.extra("factor", 1)
-        if factor == 1:
-            program = workload.program
-        else:
-            program = unroll_loops(
-                build_cfg(workload.program), factor
-            ).to_program()
-        cfg = build_cfg(program)
-        train = run_scalar(program, cfg, workload.train_memory())
-        predictor = StaticPredictor.from_trace(train.trace)
+        unrolled = ctx.unrolled(workload, factor)
         policy = dataclasses.replace(
             spec.resolved_policy() or REGION_PRED, window_blocks=16 * factor
         )
-        compiled = compile_program(program, policy, spec.config, predictor)
-        evaluation = run_scalar(program, cfg, workload.eval_memory())
-        if evaluation.output != baseline.evaluation.output:
-            raise AssertionError(
-                f"{workload.name}: unrolling changed semantics"
-            )
+        compiled = compile_program(
+            unrolled.program, policy, spec.config, unrolled.predictor
+        )
         cycles = compiled.code.count_cycles(
-            evaluation.trace, spec.config
+            unrolled.evaluation.trace, spec.config
         ).cycles
         return {"speedup": baseline.evaluation.cycles / cycles}
 

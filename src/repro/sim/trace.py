@@ -20,9 +20,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchEvent:
-    """One dynamic conditional-branch execution."""
+    """One dynamic conditional-branch execution.
+
+    Slotted: a trace holds one per dynamic branch, and an experiment
+    context keeps every baseline and unrolled trace alive."""
 
     block: int  # original block id whose terminator branched
     uid: int  # terminator instruction uid

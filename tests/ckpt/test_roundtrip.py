@@ -32,6 +32,7 @@ from repro.obs.metrics import CounterSink
 from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.interpreter import Interpreter
 from repro.sim.memory import Memory
+from repro.workloads import get_workload
 
 
 def paging_handler(fault, executor):
@@ -274,3 +275,31 @@ class TestInterpreterEveryBoundary:
         interp.run()
         with pytest.raises(CheckpointError, match="halted"):
             snapshot_interpreter(interp)
+
+    def test_mid_block_snapshot_before_a_branch_splices_the_trace(self):
+        """A snapshot does not carry the block the interpreter is in, so
+        the block a branch reports must come from the pc alone: restore
+        one step before a conditional branch that is not the first
+        instruction of its block, and the spliced trace must equal the
+        uninterrupted one."""
+        workload = get_workload("grep")
+        program, cfg = workload.program, build_cfg(workload.program)
+        starts = set(cfg.start_of.values())
+        baseline = Interpreter(program, workload.eval_memory(), cfg=cfg).run()
+
+        interp = Interpreter(program, workload.eval_memory(), cfg=cfg)
+        while not (
+            program.instructions[interp.pc].is_conditional_branch
+            and interp.pc not in starts
+            and interp.steps > 100
+        ):
+            assert interp.step()
+        document = json.loads(canonical_dumps(snapshot_interpreter(interp)))
+        restored = restore_interpreter(document, program, cfg=cfg)
+        result = restored.run()
+
+        assert result.trace.blocks == baseline.trace.blocks
+        assert result.trace.branches == baseline.trace.branches
+        assert result.output == baseline.output
+        assert result.steps == baseline.steps
+        assert result.scalar_cycles == baseline.scalar_cycles

@@ -18,7 +18,7 @@ from repro.analysis.branch_prediction import StaticPredictor
 from repro.compiler.models import MODELS
 from repro.compiler.pipeline import compile_program
 from repro.ir.cfg import build_cfg
-from repro.isa import printer
+from repro.isa import decode, printer
 from repro.machine import vliw
 from repro.machine.config import base_machine
 from repro.obs.metrics import NULL_SINK
@@ -58,7 +58,7 @@ def rendered(monkeypatch) -> list[str]:
         calls.append(instruction.opcode)
         return original(instruction, **kwargs)
 
-    for module in (printer, vliw, interpreter):
+    for module in (printer, decode, vliw):
         monkeypatch.setattr(module, "format_instruction", counting)
     return calls
 

@@ -22,6 +22,8 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _spawn(*extra_args):
+    """Start a server in its own session, so the server and the pool
+    workers it forks form one process group (see :func:`_reap_group`)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
@@ -32,7 +34,18 @@ def _spawn(*extra_args):
         stderr=subprocess.PIPE,
         env=env,
         text=True,
+        start_new_session=True,
     )
+
+
+def _reap_group(process) -> None:
+    """SIGKILL what is left of *process*'s process group.  A server
+    killed mid-batch cannot stop its forked pool workers, which would
+    otherwise outlive the test."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group is already empty
 
 
 def _ledger_phases(journal_dir: Path) -> dict[str, str]:
@@ -113,6 +126,12 @@ class TestKillNineRestart:
         slow = _wait_request("slow", sentinel)
 
         process = _spawn("--journal", str(journal_dir))
+        try:
+            self._kill_and_restart(process, journal_dir, sentinel, fast, slow)
+        finally:
+            _reap_group(process)
+
+    def _kill_and_restart(self, process, journal_dir, sentinel, fast, slow):
         try:
             process.stdin.write(fast + slow)
             process.stdin.flush()
