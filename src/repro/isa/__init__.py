@@ -13,6 +13,8 @@ This package defines the RISC-like ISA used throughout the reproduction:
 * :mod:`repro.isa.semantics` -- a single source of truth for the functional
   semantics of every opcode, shared by the scalar interpreter and the
   cycle-level VLIW machine so the two can never diverge.
+* :mod:`repro.isa.decode` -- the decode-once operation records both
+  executors dispatch on.
 * :mod:`repro.isa.parser` / :mod:`repro.isa.printer` -- assembly text
   round-tripping, including the paper's predicate / ``.s`` shadow syntax.
 * :mod:`repro.isa.encoding` -- instruction-word bit-cost model used by the

@@ -83,10 +83,12 @@ class Instruction:
     # Static properties derived from the opcode table.
     #
     # The derived views are ``cached_property``: instructions are
-    # immutable, and the machine re-reads decode facts (sources,
-    # destination, latency) every cycle an op is live, so each is
+    # immutable, and the compiler passes re-read them (sources,
+    # destination, latency) many times per instruction, so each is
     # computed once per instance.  ``cached_property`` stores into the
     # instance ``__dict__`` directly, which a frozen dataclass permits.
+    # The executors read none of them per step or cycle: both decode
+    # their program once (:mod:`repro.isa.decode`).
     # ------------------------------------------------------------------
     @cached_property
     def info(self) -> OpcodeInfo:
