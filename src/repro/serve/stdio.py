@@ -3,9 +3,14 @@
 ``repro serve --stdio`` reads request lines from stdin and writes one
 response line per request to stdout, in order.  Lines are gathered
 greedily into submissions -- after a blocking read delivers the first
-line, every line already buffered in the pipe joins the same submission
-(up to the admission queue limit), so piped batches reach the service
-together and batching can amortize compilation.
+line, every line already buffered in the pipe joins the same submission,
+so piped batches reach the service together and batching can amortize
+compilation.
+
+stdin cannot retry a shed or over-quota job, so the frontend applies
+backpressure instead: a submission takes at most as many lines as both
+the admission queue and one client's quota hold, and the next lines
+stay in the pipe until its responses are written.
 
 Shutdown: EOF drains and exits 0.  A SIGINT/SIGTERM recorded by the
 supervisor is honoured at the next submission boundary -- the in-flight
@@ -61,7 +66,8 @@ def serve_stdio(
     :class:`~repro.ckpt.signals.ShutdownRequested` after draining)."""
     in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
-    limit = service.settings.queue_limit
+    settings = service.settings
+    limit = min(settings.queue_limit, settings.client_quota)
     while True:
         if supervisor is not None and supervisor.pending is not None:
             raise supervisor.shutdown()

@@ -7,12 +7,29 @@ worker compiles once per group and replays the
 :class:`~repro.compiler.pipeline.CompiledProgram` for every batch-mate:
 the request batching that amortizes compilation.
 
-The compile cache is *per worker process* and content-keyed (the job's
-``group`` hash), so it also persists across batches dispatched to the
-same worker.  Cache state never leaks into results: a job's result
-payload is a pure function of the job, byte-identical whether its
-compile hit or missed -- the property the journal-replay guarantees
-rest on.
+Each worker process keeps two content-keyed caches, both bounded FIFOs
+that persist across batches dispatched to the same worker:
+
+* the **program** level, keyed by workload name (or inline program text
+  plus job name), holds a :class:`_ProgramEntry`: the parsed program and
+  its CFG, the workload that makes memory images, one training-run
+  :class:`~repro.analysis.branch_prediction.StaticPredictor` per
+  training input, and one small scalar summary (output, cycles,
+  instructions) per evaluation input.  Every group, model and config on
+  one program shares it, so a program is parsed once and scalar-run
+  once per distinct input;
+* the **group** level, keyed by ``group``, holds only the compiled
+  program, compiled from the program entry's own ``Program`` object and
+  that entry's predictor.
+
+The predictor and its ``Program`` live and die together: a predictor is
+keyed by instruction ``uid``, and every parse mints fresh uids, so a
+predictor applied to a re-parse of the same text silently predicts
+nothing and changes the compiled schedule.
+
+Cache state never leaks into results: a job's result payload is a pure
+function of the job, byte-identical whether either level hit or missed
+-- the property the journal-replay guarantees rest on.
 """
 
 from __future__ import annotations
@@ -20,70 +37,149 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.pipeline import compile_program
+from repro.compiler.pipeline import CompiledProgram, compile_program
 from repro.ir.cfg import build_cfg
 from repro.isa.parser import parse_program
 from repro.machine.vliw import VLIWMachine
 from repro.serve.protocol import ResolvedJob
 from repro.sim.memory import Memory
 
-#: Per-process compiled-program cache: group key -> (program, cfg,
-#: compiled).  Bounded so a long-lived worker sweeping a huge config
-#: grid cannot grow without bound; eviction is oldest-inserted-first.
-_COMPILE_CACHE: dict[str, tuple] = {}
-_COMPILE_CACHE_LIMIT = 64
+#: Per-process caches (see the module docstring): program key ->
+#: :class:`_ProgramEntry`, and group key -> compiled program.  Bounded
+#: so a long-lived worker sweeping a huge program or config grid cannot
+#: grow without bound; eviction is oldest-inserted-first, and so is the
+#: per-input eviction inside a program entry.
+_PROGRAM_CACHE: dict[object, _ProgramEntry] = {}
+_COMPILE_CACHE: dict[str, CompiledProgram] = {}
+_CACHE_LIMIT = 64
 
-#: Test-visible telemetry: compiles actually performed by this worker
-#: process (never part of a result payload).
+#: Test-visible telemetry for this worker process (never part of a
+#: result payload): programs parsed or built, compiles performed and
+#: scalar runs made.
+program_count = 0
 compile_count = 0
+scalar_run_count = 0
 
 
-def _compiled(job: ResolvedJob):
-    """The (program, cfg, compiled|None) triple for a job's group."""
-    global compile_count
-    cached = _COMPILE_CACHE.get(job.group)
-    if cached is not None:
-        return cached
-    compile_count += 1
-    if job.workload is not None:
-        from repro.workloads import get_workload
+def _remember(cache: dict, key, value) -> None:
+    while len(cache) >= _CACHE_LIMIT:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
-        workload = get_workload(job.workload)
-        program = workload.program
-        train_memory = workload.make_memory(workload.train_seed)
-    else:
-        program = parse_program(job.program_text, name=job.name)
-        train_memory = _inline_memory(job)
-    cfg = build_cfg(program)
-    compiled = None
-    if job.model != "scalar":
+
+def clear_caches() -> None:
+    """Forget every cached program and compile (the next job is cold)."""
+    _PROGRAM_CACHE.clear()
+    _COMPILE_CACHE.clear()
+
+
+class _Summary(NamedTuple):
+    """What a result payload needs from one scalar evaluation run."""
+
+    output: tuple[int, ...]
+    cycles: int
+    instructions: int
+
+
+class _ProgramEntry:
+    """One program, parsed once, scalar-run once per distinct input.
+
+    An *input* is a workload seed, or an inline job's memory image (an
+    inline program trains and evaluates on the same image).
+    """
+
+    def __init__(self, job: ResolvedJob):
+        if job.workload is not None:
+            from repro.workloads import get_workload
+
+            self.workload = get_workload(job.workload)
+            self.program = self.workload.program
+        else:
+            self.workload = None
+            self.program = parse_program(job.program_text, name=job.name)
+        self.cfg = build_cfg(self.program)
+        self._predictors: dict = {}
+        self._summaries: dict = {}
+
+    def train_input(self, job: ResolvedJob):
+        if self.workload is not None:
+            return self.workload.train_seed
+        return job.memory_words
+
+    def eval_input(self, job: ResolvedJob):
+        if self.workload is not None:
+            return job.seed
+        return job.memory_words
+
+    def memory(self, source) -> Memory:
+        """A fresh memory image for *source* (runs mutate it)."""
+        if self.workload is not None:
+            return self.workload.make_memory(source)
+        memory = Memory()
+        for address, value in source:
+            memory.store(address, value)
+        return memory
+
+    def predictor(self, source) -> StaticPredictor:
+        if source not in self._predictors:
+            self._run(source)
+        return self._predictors[source]
+
+    def summary(self, source) -> _Summary:
+        if source not in self._summaries:
+            self._run(source)
+        return self._summaries[source]
+
+    def _run(self, source) -> None:
+        """Scalar-run on *source*; keep its summary and, when *source*
+        can train this program, the predictor its trace gives."""
+        global scalar_run_count
         from repro.machine.scalar import run_scalar
 
-        train = run_scalar(program, cfg, train_memory)
-        predictor = StaticPredictor.from_trace(train.trace)
-        compiled = compile_program(program, job.model, job.config, predictor)
-    entry = (program, cfg, compiled)
-    while len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
-        _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)))
-    _COMPILE_CACHE[job.group] = entry
+        scalar_run_count += 1
+        run = run_scalar(self.program, self.cfg, self.memory(source))
+        _remember(
+            self._summaries,
+            source,
+            _Summary(run.output, run.cycles, run.instructions),
+        )
+        if self.workload is None or source == self.workload.train_seed:
+            _remember(
+                self._predictors, source, StaticPredictor.from_trace(run.trace)
+            )
+
+
+def _program(job: ResolvedJob) -> _ProgramEntry:
+    """The job's program entry, built on first use."""
+    global program_count
+    key = job.workload
+    if key is None:
+        key = (job.program_text, job.name)
+    entry = _PROGRAM_CACHE.get(key)
+    if entry is None:
+        program_count += 1
+        entry = _ProgramEntry(job)
+        _remember(_PROGRAM_CACHE, key, entry)
     return entry
 
 
-def _inline_memory(job: ResolvedJob) -> Memory:
-    memory = Memory()
-    for address, value in job.memory_words:
-        memory.store(address, value)
-    return memory
-
-
-def _eval_memory(job: ResolvedJob) -> Memory:
-    if job.workload is not None:
-        from repro.workloads import get_workload
-
-        return get_workload(job.workload).make_memory(job.seed)
-    return _inline_memory(job)
+def _compiled(job: ResolvedJob, entry: _ProgramEntry) -> CompiledProgram:
+    """The job's group compile, from *entry*'s program and predictor."""
+    global compile_count
+    compiled = _COMPILE_CACHE.get(job.group)
+    if compiled is None:
+        compile_count += 1
+        compiled = compile_program(
+            entry.program,
+            job.model,
+            job.config,
+            entry.predictor(entry.train_input(job)),
+        )
+        _remember(_COMPILE_CACHE, job.group, compiled)
+    return compiled
 
 
 def run_job(job: ResolvedJob) -> dict:
@@ -96,10 +192,8 @@ def run_job(job: ResolvedJob) -> dict:
         return _run_chaos(job)
     if job.kind == "security":
         return _run_security(job)
-    from repro.machine.scalar import run_scalar
-
-    program, cfg, compiled = _compiled(job)
-    evaluation = run_scalar(program, cfg, _eval_memory(job))
+    entry = _program(job)
+    evaluation = entry.summary(entry.eval_input(job))
     result = {
         "kind": "simulate",
         "name": job.name,
@@ -112,10 +206,13 @@ def run_job(job: ResolvedJob) -> dict:
     }
     if job.model == "scalar":
         return result
-    assert compiled is not None and compiled.vliw is not None
-    machine = VLIWMachine(compiled.vliw, job.config, _eval_memory(job))
+    compiled = _compiled(job, entry)
+    assert compiled.vliw is not None
+    machine = VLIWMachine(
+        compiled.vliw, job.config, entry.memory(entry.eval_input(job))
+    )
     machine_result = machine.run()
-    if machine_result.architectural_output != tuple(evaluation.output):
+    if machine_result.architectural_output != evaluation.output:
         raise AssertionError(
             f"{job.name}/{job.model}: scheduled code diverged from "
             "scalar semantics"
@@ -128,18 +225,19 @@ def run_job(job: ResolvedJob) -> dict:
 def _run_security(job: ResolvedJob) -> dict:
     """Twin-run taint check of the job's compiled program.
 
-    Rides the same per-group compile cache as simulate jobs, so a batch
-    of security sweeps over one workload compiles once.
+    Rides the same program and compile caches as simulate jobs, so a
+    batch of security sweeps over one workload compiles once.
     """
     from repro.taint.oracle import run_security
 
-    _, _, compiled = _compiled(job)
-    assert compiled is not None and compiled.vliw is not None
+    entry = _program(job)
+    compiled = _compiled(job, entry)
+    assert compiled.vliw is not None
     security = run_security(
         vliw=compiled.vliw,
         config=job.config,
         policy=job.policy,
-        eval_memory=_eval_memory(job),
+        eval_memory=entry.memory(entry.eval_input(job)),
     )
     if security.error is not None:
         raise RuntimeError(

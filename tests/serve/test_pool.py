@@ -129,7 +129,7 @@ class TestCompileAmortization:
             for seed in (3, 4, 5)
         )
         assert len({job.group for job in jobs}) == 1
-        worker._COMPILE_CACHE.clear()
+        worker.clear_caches()
         before = worker.compile_count
         outcomes = worker.execute_batch(jobs)
         assert worker.compile_count == before + 1
@@ -138,3 +138,23 @@ class TestCompileAmortization:
         # group compiles zero times.
         worker.execute_batch(jobs[:1])
         assert worker.compile_count == before + 1
+        # A second group on the same workload compiles once more but
+        # reuses the program entry: no new training or evaluation run.
+        runs = worker.scalar_run_count
+        narrow = resolve_request(
+            parse_request(
+                {
+                    "id": "narrow",
+                    "workload": "grep",
+                    "model": "region_pred",
+                    "seed": 3,
+                    "config": {"issue_width": 2},
+                }
+            )
+        )
+        assert narrow.group != jobs[0].group
+        [outcome] = worker.execute_batch((narrow,))
+        assert "ok" in outcome
+        assert worker.compile_count == before + 2
+        assert worker.scalar_run_count == runs
+        worker.clear_caches()

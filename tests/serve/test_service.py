@@ -373,6 +373,33 @@ class TestStdioFrontend:
         assert responses[0]["result"]["value"] == 1
         assert responses[2]["result"]["value"] == 2
 
+    def test_piped_burst_over_the_client_quota_is_all_served(self):
+        # stdin cannot retry: one client's 60 piped lines against the
+        # default quota of 16 must come back ok and in order, not shed.
+        import io
+        import os
+
+        lines = "".join(
+            _chaos_ok(f"s{index}", index) + "\n" for index in range(60)
+        )
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as writer:
+            writer.write(lines)
+        service = _service()
+        assert service.settings.client_quota < 60
+        out = io.StringIO()
+        try:
+            with os.fdopen(read_fd) as reader:
+                serve_stdio(service, in_stream=reader, out_stream=out)
+        finally:
+            service.close()
+        responses = [
+            json.loads(line) for line in out.getvalue().splitlines()
+        ]
+        assert [r["status"] for r in responses] == ["ok"] * 60
+        assert [r["id"] for r in responses] == [f"s{i}" for i in range(60)]
+        assert [r["result"]["value"] for r in responses] == list(range(60))
+
 
 class TestHttpFrontend:
     @pytest.fixture()
