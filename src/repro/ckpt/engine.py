@@ -90,7 +90,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     the complete new one -- never a truncated tail.  The temp file lives
     next to the target (same filesystem, so the replace is atomic) and
     carries the pid so concurrent writers cannot collide.  Shared by
-    checkpoint snapshots, experiment/bench/tracediff artifacts and fuzz
+    checkpoint snapshots, experiment/tracediff artifacts and fuzz
     repro cases.
     """
     path = Path(path)

@@ -19,10 +19,11 @@ Commands:
   for stdout), runner telemetry in the artifact (``--metrics``),
   ``--quiet`` to suppress the stderr telemetry summary, and crash
   tolerance knobs (``--cell-timeout``, ``--retries``, ``--fail-fast``).
-* ``verify``     -- differential check: compile a workload under a
-  predicating model, run it on the cycle-level machine, and compare
-  every architectural observable against the scalar interpreter
-  (``--replay CASE.json`` re-runs a serialized fuzz finding).
+* ``verify``     -- differential check: compile a workload (or ``all``
+  of them) under a predicating model, run it on the cycle-level
+  machine, and compare every architectural observable against the
+  scalar interpreter (``--replay CASE.json`` re-runs a serialized fuzz
+  finding).
 * ``fuzz``       -- seed-deterministic differential fuzzing campaigns
   over random structured programs, region policies, machine shapes and
   fault-raising loads; ``--shrink`` delta-debugs findings to minimal
@@ -46,13 +47,6 @@ Commands:
   (``--journal DIR``) so a killed server replays exactly the
   incomplete jobs on restart -- never losing or duplicating accepted
   work.
-* ``bench``      -- simulator performance measurement.  ``bench run
-  [--suite micro|macro|all] [--quick] [--json OUT]`` times the
-  registered benchmarks (steady-state harness: warmup, GC pinned off,
-  MAD outlier rejection) and writes a ``repro-bench/v1`` artifact;
-  ``bench compare OLD NEW [--threshold 0.10] [--warn-only]`` prints
-  the per-benchmark delta table and exits 1 on regressions beyond the
-  threshold.
 
 Resumability: ``exec`` and ``profile`` take ``--checkpoint-dir`` /
 ``--checkpoint-every`` / ``--resume`` (periodic machine snapshots,
@@ -66,7 +60,7 @@ tell "interrupted but resumable" from "failed".
 Observability: the global ``--log-json PATH`` flag (before the command:
 ``repro --log-json run.jsonl fuzz ...``) appends structured JSONL run
 records -- experiment cells with cache/ledger outcomes, cell retries,
-fuzz campaign verdicts, bench samples.  ``experiment`` and ``fuzz`` take
+and fuzz campaign verdicts.  ``experiment`` and ``fuzz`` take
 ``--progress`` for a stderr-only single-line live meter (done/total,
 cache-hit rate or divergences, ETA).
 """
@@ -105,6 +99,7 @@ from repro.obs.progress import ProgressLine
 from repro.obs.runlog import NULL_RUN_LOG, JsonlRunLog
 from repro.sim.memory import Memory
 from repro.workloads import all_workloads, get_workload
+from repro.workloads.registry import KERNELS
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -124,12 +119,21 @@ _PROFILE_MODELS = {
 }
 
 
+class UsageError(Exception):
+    """A bad command-line target: :func:`main` prints it and exits 2."""
+
+
 def _load_program_and_memory(target: str, seed: int):
     """A workload name or a path to an assembly file."""
     path = Path(target)
     if path.exists():
         program = parse_program(path.read_text(), name=path.stem)
         return program, Memory(), Memory()
+    if target not in KERNELS:
+        raise UsageError(
+            f"unknown workload {target!r} and no such file; "
+            f"known workloads: {', '.join(KERNELS)}"
+        )
     workload = get_workload(target)
     return (
         workload.program,
@@ -369,11 +373,29 @@ def _write_json(document: dict, target: str, tag: str) -> None:
         print(f"[{tag}] {path}", file=sys.stderr)
 
 
+def _verify_runs(args):
+    """The (program, model, train, eval memory) runs ``verify`` checks.
+
+    ``all`` targets every workload, and ``--model all`` every
+    executable model once ("predicating" is an alias for region_pred).
+    """
+    from repro.verify import VERIFY_MODELS, resolve_model
+
+    models = (
+        list(dict.fromkeys(resolve_model(m) for m in VERIFY_MODELS))
+        if args.model == "all"
+        else [args.model]
+    )
+    targets = list(KERNELS) if args.target == "all" else [args.target]
+    for target in targets:
+        program, train, memory = _load_program_and_memory(target, args.seed)
+        for model in models:
+            yield program, model, train.clone(), memory.clone()
+
+
 def _cmd_verify_security(args) -> int:
     """``repro verify --security``: taint-check instead of equivalence."""
     from repro.taint import SecurityCase, run_security, security_document
-    from repro.verify import VERIFY_MODELS, resolve_model
-    from repro.workloads import all_workloads
 
     sink = CounterSink()
     limits: dict = {}
@@ -401,35 +423,21 @@ def _cmd_verify_security(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        models = (
-            list(dict.fromkeys(resolve_model(m) for m in VERIFY_MODELS))
-            if args.model == "all"
-            else [args.model]
-        )
-        targets = (
-            [w.name for w in all_workloads()]
-            if args.target == "all"
-            else [args.target]
-        )
         if args.max_cycles is not None:
             limits["max_steps"] = args.max_cycles
-        for target in targets:
-            program, train, memory = _load_program_and_memory(
-                target, args.seed
-            )
-            for model in models:
-                results.append(
-                    run_security(
-                        program,
-                        model,
-                        base_machine(),
-                        policy=args.policy,
-                        train_memory=train.clone(),
-                        eval_memory=memory.clone(),
-                        sink=sink,
-                        **limits,
-                    )
+        for program, model, train, memory in _verify_runs(args):
+            results.append(
+                run_security(
+                    program,
+                    model,
+                    base_machine(),
+                    policy=args.policy,
+                    train_memory=train,
+                    eval_memory=memory,
+                    sink=sink,
+                    **limits,
                 )
+            )
     for result in results:
         print(result.describe())
     if args.json:
@@ -443,12 +451,7 @@ def _cmd_verify_security(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.verify import (
-        VERIFY_MODELS,
-        ReproCase,
-        resolve_model,
-        run_oracle,
-    )
+    from repro.verify import ReproCase, run_oracle
 
     if args.security:
         return _cmd_verify_security(args)
@@ -466,27 +469,20 @@ def cmd_verify(args) -> int:
         results.append(case.run(sink=sink, **limits))
     else:
         if args.target is None:
-            print("verify needs a workload/file target or --replay CASE.json",
-                  file=sys.stderr)
+            print(
+                "verify needs a workload/file target, 'all', or --replay "
+                "CASE.json",
+                file=sys.stderr,
+            )
             return 2
-        # "all" covers every executable model once ("predicating" is an
-        # alias for region_pred).
-        models = (
-            list(dict.fromkeys(resolve_model(m) for m in VERIFY_MODELS))
-            if args.model == "all"
-            else [args.model]
-        )
-        program, train, memory = _load_program_and_memory(
-            args.target, args.seed
-        )
-        for model in models:
+        for program, model, train, memory in _verify_runs(args):
             results.append(
                 run_oracle(
                     program,
                     model,
                     base_machine(),
-                    train_memory=train.clone(),
-                    eval_memory=memory.clone(),
+                    train_memory=train,
+                    eval_memory=memory,
                     sink=sink,
                     **limits,
                 )
@@ -824,83 +820,6 @@ def cmd_ckpt(args) -> int:
     return 0 if hash_ok else 1
 
 
-def cmd_bench(args) -> int:
-    from repro import bench
-
-    if args.bench_command == "run":
-        try:
-            benchmarks = bench.all_benchmarks(
-                args.suite, filter_substring=args.filter
-            )
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
-        if not benchmarks:
-            print(
-                f"no benchmarks match suite={args.suite!r} "
-                f"filter={args.filter!r}",
-                file=sys.stderr,
-            )
-            return 2
-        run_log = getattr(args, "run_log", NULL_RUN_LOG)
-        measurements = []
-        for definition in benchmarks:
-            measurement = definition.run(quick=args.quick)
-            measurements.append(measurement)
-            stats = measurement.ns
-            if run_log.enabled:
-                run_log.event(
-                    "bench.sample",
-                    name=measurement.name,
-                    median_ns=stats.median,
-                    min_ns=stats.min,
-                    mean_ns=stats.mean,
-                    ci95_ns=stats.ci95,
-                    throughput_median=measurement.throughput_median,
-                    unit=measurement.unit,
-                )
-            print(
-                f"{measurement.name:<34} "
-                f"median {stats.median / 1e6:>9.3f}ms  "
-                f"min {stats.min / 1e6:>9.3f}ms  "
-                f"mean {stats.mean / 1e6:.3f}±{stats.ci95 / 1e6:.3f}ms  "
-                f"{measurement.throughput_median:>12,.0f} "
-                f"{measurement.unit}/sec"
-                + (f"  [{stats.rejected} outliers]" if stats.rejected else "")
-            )
-        document = bench.make_artifact(measurements, quick=args.quick)
-        if args.json:
-            _write_json(document, args.json, "bench")
-        return 0
-
-    # bench compare OLD NEW
-    try:
-        old = bench.load_artifact(args.old)
-        new = bench.load_artifact(args.new)
-        comparison = bench.compare_artifacts(
-            old, new, threshold=args.threshold
-        )
-    except (bench.BenchArtifactError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    print(bench.render_table(comparison))
-    if comparison.failed:
-        if args.warn_only:
-            print(
-                f"warning: {len(comparison.regressions)} regression(s) "
-                "beyond threshold (--warn-only: not failing)",
-                file=sys.stderr,
-            )
-            return 0
-        print(
-            f"FAIL: {len(comparison.regressions)} regression(s) beyond "
-            f"threshold {comparison.threshold:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_serve(args) -> int:
     from repro.serve import (
         JobJournal,
@@ -1044,8 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json",
         metavar="PATH",
         help=(
-            "append structured JSONL run-log records (run/cell/campaign/"
-            "sample events) to PATH; off by default"
+            "append structured JSONL run-log records (run/cell/campaign "
+            "events) to PATH; off by default"
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -1216,7 +1135,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "target",
         nargs="?",
-        help="workload name or assembly file (omit with --replay)",
+        help=(
+            "workload name, assembly file, or 'all' for every workload "
+            "(omit with --replay)"
+        ),
     )
     verify_parser.add_argument(
         "--model",
@@ -1252,8 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "taint-check instead of equivalence-check: twin taint-on/"
             "taint-off runs, exit 1 on any speculative information leak "
-            "(target may be 'all' for every workload; --replay takes a "
-            "repro-security-case/v1 JSON)"
+            "(--replay takes a repro-security-case/v1 JSON)"
         ),
     )
     verify_parser.add_argument(
@@ -1492,58 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench_parser = commands.add_parser(
-        "bench", help="performance benchmarks and regression gating"
-    )
-    bench_commands = bench_parser.add_subparsers(
-        dest="bench_command", required=True
-    )
-    bench_run = bench_commands.add_parser(
-        "run", help="time the registered benchmarks"
-    )
-    bench_run.add_argument(
-        "--suite",
-        default="all",
-        choices=["micro", "macro", "all"],
-        help="which benchmark suite to run (default: all)",
-    )
-    bench_run.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "reduced, deterministic iteration counts for smoke runs "
-            "(artifacts are marked quick and compare loudly against "
-            "full-length ones)"
-        ),
-    )
-    bench_run.add_argument(
-        "--filter",
-        metavar="SUBSTR",
-        help="only run benchmarks whose name contains SUBSTR",
-    )
-    bench_run.add_argument(
-        "--json",
-        metavar="OUT",
-        help="write the repro-bench/v1 artifact ('-' for stdout)",
-    )
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="gate NEW against OLD; exit 1 on regressions beyond threshold",
-    )
-    bench_compare.add_argument("old", help="baseline repro-bench/v1 artifact")
-    bench_compare.add_argument("new", help="candidate repro-bench/v1 artifact")
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="median-shift noise tolerance (default: 0.10 = 10%%)",
-    )
-    bench_compare.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (CI smoke on noisy runners)",
-    )
     return parser
 
 
@@ -1561,7 +1430,6 @@ def main(argv: list[str] | None = None) -> int:
         "fuzz": cmd_fuzz,
         "ckpt": cmd_ckpt,
         "serve": cmd_serve,
-        "bench": cmd_bench,
     }
     run_log = JsonlRunLog(args.log_json) if args.log_json else NULL_RUN_LOG
     args.run_log = run_log
@@ -1570,6 +1438,9 @@ def main(argv: list[str] | None = None) -> int:
     status = None
     try:
         status = handlers[args.command](args)
+    except UsageError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        status = 2
     finally:
         if run_log.enabled:
             run_log.event("run.exit", command=args.command, status=status)

@@ -286,9 +286,8 @@ class PredicatedRegisterFile:
     def _tick_core(self, ccr: CCR) -> CommitEvents:
         """The commit hardware itself, free of instrumentation.
 
-        All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference for the
-        NULL_SINK zero-cost claim.
+        All sink guards live in :meth:`tick`, so this method carries no
+        instrumentation at all.
         """
         events = CommitEvents()
         live = self.live

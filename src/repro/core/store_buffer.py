@@ -133,9 +133,8 @@ class PredicatedStoreBuffer:
     ) -> StoreBufferEvents:
         """The buffer hardware itself, free of instrumentation.
 
-        All sink guards live in :meth:`tick`; the bench suite times this
-        method directly as the uninstrumented reference for the
-        NULL_SINK zero-cost claim.
+        All sink guards live in :meth:`tick`, so this method carries no
+        instrumentation at all.
         """
         events = StoreBufferEvents()
         if not self._entries:

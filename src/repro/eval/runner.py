@@ -578,9 +578,8 @@ class RunnerStats:
     def wall_seconds(self) -> float:
         """Derived view of :attr:`wall_ns` for human-facing output.
 
-        Durations are measured and stored as ``perf_counter_ns`` integers
-        (the same units the bench harness uses); seconds exist only at
-        the display/metrics edge.
+        Durations are measured and stored as ``perf_counter_ns``
+        integers; seconds exist only at the display/metrics edge.
         """
         return self.wall_ns / 1e9
 

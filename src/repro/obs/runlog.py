@@ -2,8 +2,8 @@
 
 Long experiment and fuzz runs produce terminal output built for humans;
 this module emits the same milestones as machine-readable JSON Lines so
-runs can be post-processed (dashboards, failure triage, joining bench
-samples across nights) without scraping stdout.
+runs can be post-processed (dashboards, failure triage, joining
+campaign verdicts across nights) without scraping stdout.
 
 One record per line::
 
@@ -14,8 +14,8 @@ One record per line::
 * ``seq`` is a per-run monotonic counter (stable sort key);
 * ``t`` is seconds since the log was opened (monotonic clock);
 * ``kind`` is a dotted event name (``run.start``, ``experiment.cell``,
-  ``fuzz.campaign``, ``bench.sample``, ``run.end``, ...); remaining
-  fields are event-specific and must be JSON-native.
+  ``fuzz.campaign``, ``run.end``, ...); remaining fields are
+  event-specific and must be JSON-native.
 
 The null object pattern mirrors :mod:`repro.obs.metrics`: the base
 :class:`RunLog` *is* the disabled implementation and call sites guard

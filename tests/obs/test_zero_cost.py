@@ -126,9 +126,10 @@ class TestDisabledRecorderGuard:
 
     A default machine run carries :data:`NULL_RECORDER` and a single
     cached ``_forensics`` boolean; the hot loop pays one branch per
-    guard site and allocates nothing.  The <5% wall-clock claim itself
-    is gated by ``repro bench compare`` against the stored baseline --
-    these tests pin the *structure* the claim depends on, so a refactor
+    guard site and allocates nothing.  The wall-clock cost is measured
+    by ``perf/``'s security-twin workload, which runs every cell once
+    plain and once observed (taint tracker and flight recorder on) --
+    these tests pin the *structure* that cost depends on, so a refactor
     cannot silently start paying for forensics when they are off.
     """
 
@@ -182,9 +183,10 @@ class TestDisabledTaintGuard:
     single cached ``_taint`` boolean; with taint off the hot loop pays
     one branch per guard site, pending/store-buffer entries keep
     ``taint=None``, and snapshots stay byte-identical to the pre-taint
-    layout.  As with forensics, the <5% wall-clock claim is gated by
-    ``repro bench compare`` against the stored baseline -- these tests
-    pin the structure that claim depends on.
+    layout.  As with forensics, the wall-clock cost is measured by
+    ``perf/``'s security-twin workload, half of whose machine runs are
+    observed and half plain -- these tests pin the structure that cost
+    depends on.
     """
 
     def test_null_taint_is_disabled(self):

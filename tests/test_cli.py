@@ -240,6 +240,33 @@ class TestVerifyCli:
     def test_verify_needs_a_target(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_verify_all_checks_every_workload(self, tmp_path, capsys):
+        target = tmp_path / "verify.json"
+        assert main(
+            ["verify", "all", "--model", "region_pred", "--json", str(target)]
+        ) == 0
+        document = json.loads(target.read_text())
+        assert document["schema"] == "repro-verify/v1"
+        results = document["results"]
+        assert [result["program"] for result in results] == [
+            "compress", "eqntott", "espresso", "grep", "li", "nroff",
+        ]
+        assert all(result["model"] == "region_pred" for result in results)
+        assert all(result["equivalent"] for result in results)
+        assert capsys.readouterr().out.count("EQUIVALENT") == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "nosuch"], ["verify", "nosuch"],
+         ["verify", "nosuch", "--security"]],
+    )
+    def test_unknown_target_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown workload 'nosuch'" in err
+        assert "compress, eqntott, espresso, grep, li, nroff" in err
+
     def test_verify_replay_roundtrip(self, tmp_path, capsys):
         from repro.verify.fuzz import build_case, derive_campaign
 
