@@ -1,9 +1,10 @@
 """Checkpoint/restore subsystem.
 
 Deterministic machine snapshots (:mod:`repro.ckpt.state`), resumable
-run loops and rotating snapshot files (:mod:`repro.ckpt.engine`), sweep
-journals behind ``--resume`` (:mod:`repro.ckpt.journal`), and graceful
-SIGINT/SIGTERM shutdown (:mod:`repro.ckpt.signals`).
+run loops and rotating snapshot files (:mod:`repro.ckpt.engine`),
+completed-work ledgers for fuzz campaigns and serve jobs
+(:mod:`repro.ckpt.journal`), and graceful SIGINT/SIGTERM shutdown
+(:mod:`repro.ckpt.signals`).
 """
 
 from repro.ckpt.engine import (

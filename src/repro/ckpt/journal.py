@@ -1,35 +1,22 @@
-"""Sweep journals: the completed-cell ledger behind ``--resume``.
+"""Completed-work ledgers: ``repro fuzz --journal``'s campaign ledger,
+also the base of serve's write-ahead job journal.
 
-A journal directory makes a long sweep (``repro experiment``, fuzz
-campaigns) restartable after a crash or kill:
-
-* ``ledger.jsonl`` -- one append-only line per *completed* unit of work
-  (an experiment cell, a fuzz campaign), carrying the unit's content key
-  and its full result payload.  Lines are written with ``flush`` after
-  each append, so everything completed before a SIGKILL survives; a
-  torn final line (the kill landed mid-write) is detected and ignored
-  on load.  Failed units are never ledgered -- resume retries them.
-* ``cells/<key>/`` -- per-unit checkpoint directories for in-flight
-  machine snapshots, so even a partially-executed cell can resume
-  mid-run (used by the measured VLIW cells).
-
-Resume reads the ledger *before* consulting any cache: a ledger hit
-replays the recorded payload verbatim and counts in ``ledger_hits``,
-which is how the kill-and-resume test proves zero re-execution.
+A journal directory holds ``ledger.jsonl``: one append-only line per
+*completed* unit of work (a fuzz campaign), carrying the unit's content
+key and its full result payload.  Lines are written with ``flush`` after
+each append, so everything completed before a SIGKILL survives; a torn
+final line (the kill landed mid-write) is detected and ignored on load.
+Failed units are never ledgered -- a re-run retries them.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 from repro.ckpt.state import canonical_dumps
 
 LEDGER_NAME = "ledger.jsonl"
-CELLS_DIR = "cells"
-
-_KEY_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
 class Journal:
@@ -89,13 +76,3 @@ class Journal:
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue  # torn or foreign line: not a completed unit
         return completed
-
-    # ------------------------------------------------------------------
-    # Per-unit checkpoint directories.
-    # ------------------------------------------------------------------
-    def cell_dir(self, key: str) -> Path:
-        """The checkpoint directory for one unit (created on demand)."""
-        safe = _KEY_SAFE.sub("_", key)[:128]
-        path = self.directory / CELLS_DIR / safe
-        path.mkdir(parents=True, exist_ok=True)
-        return path

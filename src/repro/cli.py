@@ -50,16 +50,17 @@ Commands:
 
 Resumability: ``exec`` and ``profile`` take ``--checkpoint-dir`` /
 ``--checkpoint-every`` / ``--resume`` (periodic machine snapshots,
-continued bit-identically); ``experiment`` and ``fuzz`` take
-``--journal DIR`` / ``--resume`` (a durable completed-work ledger, so a
-killed sweep replays finished cells instead of recomputing them).  The
+continued bit-identically); ``experiment`` caches each cell the moment
+it finishes, so a killed sweep re-run with the same ``--cache-dir``
+recomputes only unfinished cells; ``fuzz`` takes ``--journal DIR`` (a
+durable completed-campaign ledger that a re-run replays).  The
 long-running verbs trap SIGINT/SIGTERM, flush a final checkpoint at the
 next safe boundary, and exit ``128 + signum`` (130/143) so wrappers can
 tell "interrupted but resumable" from "failed".
 
 Observability: the global ``--log-json PATH`` flag (before the command:
 ``repro --log-json run.jsonl fuzz ...``) appends structured JSONL run
-records -- experiment cells with cache/ledger outcomes, cell retries,
+records -- experiment cells with their cache outcomes, cell retries,
 and fuzz campaign verdicts.  ``experiment`` and ``fuzz`` take
 ``--progress`` for a stderr-only single-line live meter (done/total,
 cache-hit rate or divergences, ETA).
@@ -581,8 +582,8 @@ def _cmd_fuzz_security(args) -> int:
     """
     from repro.taint import run_security_fuzz
 
-    if args.journal or args.resume:
-        print("--journal/--resume apply to divergence fuzzing only",
+    if args.journal:
+        print("--journal applies to divergence fuzzing only",
               file=sys.stderr)
         return 2
     sink = CounterSink()
@@ -626,9 +627,6 @@ def cmd_fuzz(args) -> int:
 
     if args.mode == "security":
         return _cmd_fuzz_security(args)
-    if args.resume and not args.journal:
-        print("--resume needs --journal", file=sys.stderr)
-        return 2
     sink = CounterSink()
 
     meter = ProgressLine("fuzz") if args.progress else None
@@ -674,7 +672,7 @@ def cmd_fuzz(args) -> int:
         return _report_shutdown(
             shutdown,
             f"repro fuzz --campaigns {args.campaigns} --seed {args.seed} "
-            f"--journal {args.journal or 'DIR'} --resume",
+            f"--journal {args.journal or 'DIR'}",
         )
     finally:
         if meter is not None:
@@ -722,10 +720,6 @@ def cmd_experiment(args) -> int:
         print(f"--cache-dir {cache_dir} exists and is not a directory",
               file=sys.stderr)
         return 2
-    if args.resume and not args.journal:
-        print("--resume needs --journal", file=sys.stderr)
-        return 2
-    journal = Journal(args.journal) if args.journal else None
     meter = ProgressLine("experiment") if args.progress else None
     progress = None
     if meter is not None:
@@ -738,7 +732,6 @@ def cmd_experiment(args) -> int:
                 use_cache=not args.no_cache,
                 cell_timeout=args.cell_timeout, max_retries=args.retries,
                 fail_fast=args.fail_fast,
-                journal=journal, checkpoint_every=args.checkpoint_every,
                 supervisor=supervisor,
                 run_log=getattr(args, "run_log", NULL_RUN_LOG),
                 progress=progress,
@@ -770,21 +763,19 @@ def cmd_experiment(args) -> int:
                         )
                         print(f"[artifact] {path}", file=sys.stderr)
     except ShutdownRequested as shutdown:
-        if journal is not None:
-            print(
-                f"[ckpt] completed cells are ledgered in {args.journal}",
-                file=sys.stderr,
-            )
+        kept = (
+            f"finished cells are cached in {cache_dir}"
+            if cache_dir is not None
+            else "--no-cache: no finished cells were kept"
+        )
+        print(f"[ckpt] {kept}", file=sys.stderr)
         return _report_shutdown(
             shutdown,
-            f"repro experiment {args.name} --journal "
-            f"{args.journal or 'DIR'} --resume",
+            f"repro experiment {args.name} --cache-dir {cache_dir or 'DIR'}",
         )
     finally:
         if meter is not None:
             meter.finish()
-        if journal is not None:
-            journal.close()
     if not args.quiet:
         print(ctx.runner.stats.report(), file=sys.stderr)
     return 0 if not ctx.runner.stats.errors else 3
@@ -928,29 +919,6 @@ def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_journal_options(
-    parser: argparse.ArgumentParser, unit: str
-) -> None:
-    """The sweep-resume knobs shared by ``experiment``/``fuzz``."""
-    parser.add_argument(
-        "--journal",
-        metavar="DIR",
-        help=(
-            f"durably ledger every completed {unit} here; a re-run with "
-            "the same journal replays finished work instead of "
-            "recomputing it"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted journalled run (requires --journal; "
-            "artifacts come out byte-identical to an uninterrupted run)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1051,8 +1019,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_DIR,
         metavar="PATH",
         help=(
-            "directory for the content-keyed result cache "
-            f"(default: {DEFAULT_CACHE_DIR})"
+            "directory for the content-keyed result cache; each cell is "
+            "written the moment it finishes, so re-running an "
+            f"interrupted sweep resumes it (default: {DEFAULT_CACHE_DIR})"
         ),
     )
     experiment_parser.add_argument(
@@ -1115,17 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="stderr-only live progress line (cells done/total, ETA)",
-    )
-    _add_journal_options(experiment_parser, "cell")
-    experiment_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help=(
-            "in-flight machine snapshot period for journalled measured "
-            "cells (default: 5000)"
-        ),
     )
 
     verify_parser = commands.add_parser(
@@ -1305,7 +1263,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stderr-only live progress line (campaigns done/total, ETA)",
     )
-    _add_journal_options(fuzz_parser, "campaign")
+    fuzz_parser.add_argument(
+        "--journal",
+        metavar="DIR",
+        help=(
+            "durably ledger every completed campaign here; a re-run with "
+            "the same journal replays finished campaigns instead of "
+            "recomputing them"
+        ),
+    )
 
     ckpt_parser = commands.add_parser(
         "ckpt", help="checkpoint tooling (inspect snapshots)"

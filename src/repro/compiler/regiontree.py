@@ -77,16 +77,6 @@ class RegionTree:
     def exit_targets(self) -> set[int]:
         return {exit_.target_origin for exit_ in self.all_exits()}
 
-    def path_nodes(self, node_id: int) -> list[int]:
-        """Node ids from the root down to *node_id* (inclusive)."""
-        path = []
-        current: int | None = node_id
-        while current is not None:
-            path.append(current)
-            current = self.nodes[current].parent
-        path.reverse()
-        return path
-
     def block_count(self) -> int:
         return len(self.nodes)
 

@@ -65,15 +65,6 @@ class FaultRecord:
         )
 
 
-class SpeculativeExceptionCommit(Exception):
-    """Internal signal: a buffered speculative exception's predicate
-    committed; the machine must enter recovery mode."""
-
-    def __init__(self, fault: FaultRecord):
-        super().__init__(f"speculative exception committed: {fault}")
-        self.fault = fault
-
-
 class UnhandledFault(Exception):
     """A committed (non-speculative) fault with no handler installed."""
 

@@ -72,11 +72,6 @@ class RegisterFileEntry:
     pending: list[PendingWrite] = field(default_factory=list)
 
     @property
-    def flag_v(self) -> bool:
-        """V flag: a valid speculative value is buffered."""
-        return bool(self.pending)
-
-    @property
     def flag_e(self) -> bool:
         """E flag: an outstanding speculative exception is buffered."""
         return any(write.fault is not None for write in self.pending)
@@ -175,19 +170,6 @@ class PredicatedRegisterFile:
             ):
                 return True, write.taint
         return False, None
-
-    def shadow_fault(self, reg: int) -> FaultRecord | None:
-        """The newest buffered fault on *reg*'s shadow, if any.
-
-        Reading a corrupted shadow value propagates the corruption -- the
-        machine uses this to let dependent speculative instructions carry
-        poisoned data without trapping (they are re-executed in recovery).
-        """
-        entry = self._entry(reg)
-        for write in reversed(entry.pending):
-            if write.fault is not None:
-                return write.fault
-        return None
 
     # ------------------------------------------------------------------
     # Writes.

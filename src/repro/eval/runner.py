@@ -37,14 +37,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis.branch_prediction import StaticPredictor, successive_accuracy
-from repro.ckpt.engine import (
-    CheckpointWriter,
-    latest_snapshot,
-    run_vliw as run_vliw_checkpointed,
-)
-from repro.ckpt.journal import Journal
 from repro.ckpt.signals import SignalSupervisor
-from repro.ckpt.state import CheckpointError, restore_vliw
 from repro.compiler.models import MODELS, REGION_PRED
 from repro.compiler.pipeline import compile_program
 from repro.compiler.policy import ModelPolicy
@@ -184,9 +177,6 @@ class ExperimentContext:
     cells out through.
     """
 
-    #: In-flight machine snapshot period (cycles) for journalled sweeps.
-    DEFAULT_CHECKPOINT_EVERY = 5_000
-
     def __init__(
         self,
         workloads: list[Workload] | None = None,
@@ -199,8 +189,6 @@ class ExperimentContext:
         retry_backoff: float = 0.1,
         fail_fast: bool = False,
         sink: MetricsSink = NULL_SINK,
-        journal: Journal | None = None,
-        checkpoint_every: int | None = None,
         supervisor: SignalSupervisor | None = None,
         run_log: RunLog = NULL_RUN_LOG,
         progress: Callable[[int, int, "RunnerStats"], None] | None = None,
@@ -209,17 +197,11 @@ class ExperimentContext:
         self._baselines: dict[str, WorkloadBaseline] = {}
         self._unrolled: dict[tuple[str, int], WorkloadBaseline] = {}
         self.sink = sink
-        self.journal = journal
-        self.checkpoint_every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else self.DEFAULT_CHECKPOINT_EVERY
-        )
         self.runner = CellRunner(
             self, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
             cell_timeout=cell_timeout, max_retries=max_retries,
             retry_backoff=retry_backoff, fail_fast=fail_fast,
-            sink=sink, journal=journal, supervisor=supervisor,
+            sink=sink, supervisor=supervisor,
             run_log=run_log, progress=progress,
         )
 
@@ -284,7 +266,6 @@ class ExperimentContext:
         config: MachineConfig,
         *,
         run_machine: bool = False,
-        cell_key: str | None = None,
     ) -> dict:
         """Speedup plus BTB statistics of *model* on *workload*.
 
@@ -292,12 +273,6 @@ class ExperimentContext:
         (``config.btb_entries is None``) the BTB counts are zero; with a
         finite BTB they come from the cycle-level machine when it ran,
         otherwise from the trace-driven analytic counter.
-
-        With a journal and a *cell_key*, the machine run is checkpointed
-        in flight (periodic snapshots under the journal's cell
-        directory) and resumes from the newest valid snapshot -- the
-        restored continuation is bit-identical, so the measured cycle
-        count is unaffected.
         """
         baseline = self.baseline(workload)
         compiled = compile_program(
@@ -307,12 +282,8 @@ class ExperimentContext:
         cycles = analytic.cycles
         btb_hits, btb_misses = analytic.btb_hits, analytic.btb_misses
         if run_machine and compiled.vliw is not None:
-            machine, writer = self._machine_for_cell(
-                compiled.vliw, config, workload, cell_key
-            )
-            result = run_vliw_checkpointed(
-                machine, checkpoint_every=self.checkpoint_every, writer=writer
-            )
+            machine = VLIWMachine(compiled.vliw, config, workload.eval_memory())
+            result = machine.run()
             if result.architectural_output != tuple(baseline.evaluation.output):
                 raise AssertionError(
                     f"{workload.name}/{compiled.policy.name}: scheduled code "
@@ -327,32 +298,6 @@ class ExperimentContext:
             "btb_hits": btb_hits,
             "btb_misses": btb_misses,
         }
-
-    def _machine_for_cell(
-        self,
-        vliw,
-        config: MachineConfig,
-        workload: Workload,
-        cell_key: str | None,
-    ) -> tuple[VLIWMachine, CheckpointWriter | None]:
-        """A machine for one measured cell, resumed mid-run when a
-        journalled snapshot for it validates (a stale or corrupt snapshot
-        falls back to a fresh machine, never an abort)."""
-        if self.journal is None or cell_key is None:
-            return VLIWMachine(vliw, config, workload.eval_memory()), None
-        cell_dir = self.journal.cell_dir(cell_key)
-        latest = latest_snapshot(cell_dir)
-        machine = None
-        if latest.found:
-            try:
-                machine = restore_vliw(
-                    latest.document, vliw, config, path=latest.path
-                )
-            except CheckpointError:
-                machine = None  # wrong program/config generation: recompute
-        if machine is None:
-            machine = VLIWMachine(vliw, config, workload.eval_memory())
-        return machine, CheckpointWriter(cell_dir)
 
     def run_cells(self, specs: list[CellSpec]) -> list[dict]:
         """Evaluate *specs* (cached, possibly in parallel), in order."""
@@ -447,11 +392,6 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
             spec.resolved_policy(),
             spec.config,
             run_machine=spec.run_machine,
-            cell_key=(
-                cell_cache_key(spec, workload)
-                if ctx.journal is not None and spec.run_machine
-                else None
-            ),
         )
 
     if spec.kind == "compile_stats":
@@ -557,7 +497,6 @@ class RunnerStats:
 
     hits: int = 0
     misses: int = 0
-    ledger_hits: int = 0
     cell_times: list[tuple[str, int]] = field(default_factory=list)  # (label, ns)
     wall_ns: int = 0
     timeouts: int = 0
@@ -568,7 +507,7 @@ class RunnerStats:
 
     @property
     def total(self) -> int:
-        return self.hits + self.misses + self.ledger_hits
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -584,12 +523,9 @@ class RunnerStats:
         return self.wall_ns / 1e9
 
     def report(self) -> str:
-        ledger = (
-            f", ledger hits {self.ledger_hits}" if self.ledger_hits else ""
-        )
         lines = [
             f"cells: {self.total} "
-            f"(cache hits {self.hits}, misses {self.misses}{ledger}, "
+            f"(cache hits {self.hits}, misses {self.misses}, "
             f"hit rate {self.hit_rate:.0%}); "
             f"wall {self.wall_seconds:.2f}s"
         ]
@@ -626,8 +562,6 @@ class RunnerStats:
         }
         # Conditional counters appear only when the feature fired, so a
         # clean run's telemetry is unchanged by the hardening.
-        if self.ledger_hits:
-            counters["runner.ledger_hits"] = self.ledger_hits
         if self.errors:
             counters["runner.failed_cells"] = len(self.errors)
         if self.timeouts:
@@ -660,14 +594,14 @@ class CellRunner:
     *fail_fast* the first failure raises instead -- the pre-hardening
     behaviour.
 
-    Resumability: with a *journal*, every completed cell is appended to
-    the journal ledger the moment its result is collected, and a later
-    run replays ledgered cells verbatim *before* consulting the cache
-    (counted in ``ledger_hits``) -- a killed sweep re-executes only the
-    cells that never finished.  With a *supervisor*, a pending
-    SIGINT/SIGTERM stops the sweep at the next cell boundary by raising
+    Resumability: the cache is the sweep's one durable store.  Each
+    computed cell is written to it the moment its outcome is collected
+    (temp file plus atomic rename), so a killed sweep re-run over the
+    same *cache_dir* re-executes only the cells that never finished.
+    With a *supervisor*, a pending SIGINT/SIGTERM stops the sweep at the
+    next cell boundary by raising
     :class:`~repro.ckpt.signals.ShutdownRequested`; everything already
-    collected is safe in the ledger.
+    collected is safe in the cache.
     """
 
     def __init__(
@@ -682,7 +616,6 @@ class CellRunner:
         retry_backoff: float = 0.1,
         fail_fast: bool = False,
         sink: MetricsSink = NULL_SINK,
-        journal: Journal | None = None,
         supervisor: SignalSupervisor | None = None,
         run_log: RunLog = NULL_RUN_LOG,
         progress: Callable[[int, int, RunnerStats], None] | None = None,
@@ -696,12 +629,10 @@ class CellRunner:
         self.retry_backoff = retry_backoff
         self.fail_fast = fail_fast
         self.sink = sink
-        self.journal = journal
         self.supervisor = supervisor
         self.run_log = run_log
         self.progress = progress
         self.stats = RunnerStats()
-        self._ledgered: set[str] = set()
         # Cumulative across run() batches, so one --progress line spans
         # a whole experiment even when it fans cells out in stages.
         self._cells_done = 0
@@ -786,33 +717,15 @@ class CellRunner:
         ]
         results: list[dict | None] = [None] * len(specs)
 
-        # Ledger pass: a journalled sweep replays durably completed
-        # cells verbatim, before the cache is even consulted -- this is
-        # what makes a ``--resume`` artifact byte-identical with zero
-        # re-execution of finished work.
-        ledger = (
-            self.journal.completed() if self.journal is not None else {}
-        )
-        self._ledgered.update(ledger)
-
         # Cache pass; duplicate keys within a batch compute once.
         pending: dict[str, list[int]] = {}
         for index, key in enumerate(keys):
-            if key in ledger:
-                results[index] = ledger[key]
-                self.stats.ledger_hits += 1
-                if self.sink.enabled:
-                    self.sink.count("runner.ledger_hits")
-                self._cell_resolved(specs[index], "ledger")
-                continue
             cached = self._cache_load(key)
             if cached is not None:
                 results[index] = cached
                 self.stats.hits += 1
                 if self.sink.enabled:
                     self.sink.count("runner.cache_hits")
-                # A cache hit completes the cell for resume purposes too.
-                self._journal_record(key, cached)
                 self._cell_resolved(specs[index], "cache")
             else:
                 pending.setdefault(key, []).append(index)
@@ -835,10 +748,9 @@ class CellRunner:
                 else:
                     values, elapsed_ns = outcome
                     self.stats.cell_times.append((spec.label(), elapsed_ns))
-                    self._cache_store(key, spec, values)
                 for index in indices:
                     results[index] = values
-                # The first index was resolved live inside
+                # The first index was resolved (and cached) live inside
                 # _evaluate_misses; duplicates of the same key resolve
                 # here, for free.
                 for _ in indices[1:]:
@@ -848,23 +760,16 @@ class CellRunner:
         assert all(value is not None for value in results)
         return results  # type: ignore[return-value]
 
-    def _journal_record(self, key: str, values: dict) -> None:
-        """Ledger one durably completed cell (error entries never are)."""
-        if (
-            self.journal is None
-            or key in self._ledgered
-            or is_error_cell(values)
-        ):
+    def _collected(self, spec: CellSpec, key: str, outcome) -> None:
+        """Cache an outcome the moment it is collected (error entries
+        never are), so a kill or shutdown between cells loses nothing
+        already computed."""
+        if is_error_cell(outcome):
+            self._cell_resolved(spec, "error")
             return
-        self.journal.record(key, values)
-        self._ledgered.add(key)
-
-    def _note_outcome(self, key: str, outcome) -> None:
-        """Ledger a collected outcome the moment it exists, so a kill or
-        shutdown between cells loses nothing already computed."""
-        if outcome is not None and not is_error_cell(outcome):
-            values, _seconds = outcome
-            self._journal_record(key, values)
+        values, _elapsed_ns = outcome
+        self._cache_store(key, spec, values)
+        self._cell_resolved(spec, "computed")
 
     def _check_shutdown(self, pool: ProcessPoolExecutor | None = None) -> None:
         if self.supervisor is None or self.supervisor.pending is None:
@@ -879,16 +784,7 @@ class CellRunner:
         An outcome is either ``(values, elapsed_ns)`` or an error entry.
         """
         if not self._can_pool(todo):
-            outcomes = []
-            for spec, key in zip(todo, keys):
-                outcome = self._in_process(spec)
-                self._note_outcome(key, outcome)
-                outcomes.append(outcome)
-                self._cell_resolved(
-                    spec, "error" if is_error_cell(outcome) else "computed"
-                )
-                self._check_shutdown()
-            return outcomes
+            return self._serial(todo, keys)
         # Pre-warm every needed baseline in the parent: workers started
         # by fork inherit the scalar runs copy-on-write instead of
         # re-interpreting each workload per process.
@@ -900,6 +796,16 @@ class CellRunner:
             return self._pooled(todo, keys)
         finally:
             _set_worker_ctx(None)
+
+    def _serial(self, todo: list[CellSpec], keys: list[str]) -> list:
+        """Evaluate *todo* in-process, one cell at a time."""
+        outcomes = []
+        for spec, key in zip(todo, keys):
+            outcome = self._in_process(spec)
+            self._collected(spec, key, outcome)
+            outcomes.append(outcome)
+            self._check_shutdown()
+        return outcomes
 
     def _in_process(self, spec: CellSpec):
         """Serial evaluation; the last-resort path has no hang/crash
@@ -923,16 +829,7 @@ class CellRunner:
             self.stats.serial_fallbacks += 1
             if self.sink.enabled:
                 self.sink.count("runner.serial_fallbacks")
-            outcomes = []
-            for spec, key in zip(todo, keys):
-                outcome = self._in_process(spec)
-                self._note_outcome(key, outcome)
-                outcomes.append(outcome)
-                self._cell_resolved(
-                    spec, "error" if is_error_cell(outcome) else "computed"
-                )
-                self._check_shutdown()
-            return outcomes
+            return self._serial(todo, keys)
 
         outcomes: list = [None] * len(todo)
         needs_isolation: list[int] = []
@@ -944,11 +841,7 @@ class CellRunner:
                 continue
             try:
                 outcomes[index] = future.result(timeout=self.cell_timeout)
-                self._note_outcome(keys[index], outcomes[index])
-                self._cell_resolved(
-                    todo[index],
-                    "error" if is_error_cell(outcomes[index]) else "computed",
-                )
+                self._collected(todo[index], keys[index], outcomes[index])
             except TimeoutError:
                 # The worker is hung on this cell; healthy workers keep
                 # draining the queue, so keep collecting and terminate
@@ -981,7 +874,7 @@ class CellRunner:
                     self._terminate(pool)
                     raise
                 outcomes[index] = error_entry(todo[index], error, 1)
-                self._cell_resolved(todo[index], "error")
+                self._collected(todo[index], keys[index], outcomes[index])
             self._check_shutdown(pool)
         if hung or broken:
             self._terminate(pool)
@@ -990,11 +883,7 @@ class CellRunner:
 
         for index in needs_isolation:
             outcomes[index] = self._isolated(todo[index])
-            self._note_outcome(keys[index], outcomes[index])
-            self._cell_resolved(
-                todo[index],
-                "error" if is_error_cell(outcomes[index]) else "computed",
-            )
+            self._collected(todo[index], keys[index], outcomes[index])
             self._check_shutdown()
         return outcomes
 

@@ -39,10 +39,6 @@ class EncodingCost:
     def overhead_bits(self) -> int:
         return self.total_bits - self.base_bits
 
-    @property
-    def overhead_bytes(self) -> float:
-        return self.overhead_bits / 8
-
 
 def region_predicating_cost(num_conditions: int) -> EncodingCost:
     """Encoding cost of the region predicating model for K conditions.

@@ -115,10 +115,6 @@ class Instruction:
         return self.opcode in CONDITIONAL_BRANCH_OPCODES
 
     @property
-    def is_jump(self) -> bool:
-        return self.opcode == "jmp"
-
-    @property
     def is_load(self) -> bool:
         return self.opcode == "ld"
 

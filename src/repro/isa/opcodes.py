@@ -49,10 +49,6 @@ class OpcodeInfo:
     unsafe: bool = False
 
     @property
-    def writes_reg(self) -> bool:
-        return "rd" in self.signature
-
-    @property
     def writes_creg(self) -> bool:
         return "cd" in self.signature
 

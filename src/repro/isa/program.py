@@ -28,10 +28,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def labels_at(self, index: int) -> list[str]:
-        """All labels attached to instruction *index* (in insertion order)."""
-        return [label for label, i in self.labels.items() if i == index]
-
     def resolve(self, label: str) -> int:
         """Instruction index of *label*; raises KeyError if undefined."""
         return self.labels[label]

@@ -12,17 +12,3 @@ entries per region and respects the configured K.
 NUM_REGS = 32
 NUM_CREGS = 8
 ZERO_REG = 0
-
-
-def reg_name(index: int) -> str:
-    """Return the assembly name of general register *index* (e.g. ``r7``)."""
-    if not 0 <= index < NUM_REGS:
-        raise ValueError(f"register index out of range: {index}")
-    return f"r{index}"
-
-
-def creg_name(index: int) -> str:
-    """Return the assembly name of condition register *index* (e.g. ``c2``)."""
-    if not 0 <= index < NUM_CREGS:
-        raise ValueError(f"condition register index out of range: {index}")
-    return f"c{index}"

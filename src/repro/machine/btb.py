@@ -60,10 +60,6 @@ class BranchTargetBuffer:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
 
-    def to_counters(self) -> dict[str, int]:
-        """The resolved statistics, in sink counter naming."""
-        return {"btb.hits": self.hits, "btb.misses": self.misses}
-
     # ------------------------------------------------------------------
     # Checkpoint state extraction (JSON-native).
     # ------------------------------------------------------------------

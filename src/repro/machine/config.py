@@ -86,16 +86,3 @@ def full_issue_machine(
     )
     params.update(overrides)
     return MachineConfig(**params)
-
-
-def scalar_machine() -> MachineConfig:
-    """A single-issue machine with one of each unit (the scalar shape)."""
-    return MachineConfig(
-        issue_width=1,
-        num_alu=1,
-        num_branch=1,
-        num_load=1,
-        num_store=1,
-        ccr_entries=1,
-        max_speculation_depth=0,
-    )

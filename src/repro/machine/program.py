@@ -61,12 +61,6 @@ class VLIWProgram:
     def region_starts(self) -> set[int]:
         return {span.start for span in self.regions}
 
-    def region_end_of(self, start: int) -> int:
-        for span in self.regions:
-            if span.start == start:
-                return span.end
-        raise KeyError(f"no region starts at bundle {start}")
-
     def validate(self) -> None:
         """Structural checks the schedulers must satisfy."""
         for label, index in self.labels.items():
@@ -97,9 +91,6 @@ class VLIWProgram:
                     raise ValueError(
                         f"bundle {index}: provenance/op count mismatch"
                     )
-
-    def total_slots(self) -> int:
-        return sum(len(bundle) for bundle in self.bundles)
 
     def format(self) -> str:
         """Human-readable listing (one bundle per line)."""

@@ -146,18 +146,6 @@ class VLIWResult:
     def architectural_output(self) -> tuple[int, ...]:
         return tuple(self.output)
 
-    @property
-    def ipc(self) -> float:
-        """Useful operations per cycle (squashed issues excluded)."""
-        if self.cycles == 0:
-            return 0.0
-        return (self.useful_ops) / self.cycles
-
-    @property
-    def useful_ops(self) -> int:
-        """Issued operations that were not squashed at issue."""
-        return max(0, self._issued_ops - self.squashed_ops)
-
 
 class VLIWMachine:
     """In-order N-issue machine with predicated state buffering."""

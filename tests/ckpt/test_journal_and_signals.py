@@ -56,13 +56,6 @@ class TestJournal:
             handle.write(json.dumps({"key": "a", "payload": {"v": 1}}) + "\n")
         assert Journal(tmp_path).completed() == {"a": {"v": 1}}
 
-    def test_cell_dir_sanitizes_keys(self, tmp_path):
-        journal = Journal(tmp_path)
-        path = journal.cell_dir("fuzz:0:1:region_pred/trace_pred")
-        assert path.is_dir()
-        assert path.parent == tmp_path / "cells"
-        assert "/" not in path.name and ":" not in path.name
-
 
 class TestSignals:
     def test_exit_codes(self):

@@ -1,5 +1,6 @@
-"""Kill-and-resume: SIGKILL a journalled sweep mid-cell, resume it, and
-get the byte-identical artifact with zero re-execution of finished work.
+"""Kill-and-resume: SIGKILL a cached sweep mid-cell, re-run it over the
+same cache, and get the byte-identical artifact with zero re-execution
+of finished work.
 
 The sweep's fourth cell is a ``wait_for`` chaos cell that blocks until a
 sentinel file appears, which parks the first run mid-cell
@@ -22,11 +23,10 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 DRIVER = """
 import json, sys
-from repro.ckpt import Journal
 from repro.eval import ExperimentContext
 from repro.eval.runner import CellSpec
 
-journal_dir, sentinel, out = sys.argv[1:4]
+cache_dir, sentinel, out = sys.argv[1:4]
 specs = (
     [
         CellSpec(kind="chaos", extras=(("mode", "ok"), ("value", i)))
@@ -45,30 +45,22 @@ specs = (
     ]
     + [CellSpec(kind="chaos", extras=(("mode", "ok"), ("value", 7)))]
 )
-with Journal(journal_dir) as journal:
-    ctx = ExperimentContext(journal=journal)
-    results = ctx.run_cells(specs)
-    stats = ctx.runner.stats
+ctx = ExperimentContext(cache_dir=cache_dir)
+results = ctx.run_cells(specs)
+stats = ctx.runner.stats
 with open(out, "w") as f:
     json.dump(results, f, sort_keys=True, separators=(",", ":"))
 with open(out + ".stats", "w") as f:
-    json.dump(
-        {
-            "ledger_hits": stats.ledger_hits,
-            "misses": stats.misses,
-            "hits": stats.hits,
-        },
-        f,
-    )
+    json.dump({"misses": stats.misses, "hits": stats.hits}, f)
 """
 
 
-def run_driver(tmp_path, journal, sentinel, out, wait=True):
+def run_driver(tmp_path, cache, sentinel, out, wait=True):
     env = dict(os.environ, PYTHONPATH=SRC)
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)
     process = subprocess.Popen(
-        [sys.executable, str(driver), str(journal), str(sentinel), str(out)],
+        [sys.executable, str(driver), str(cache), str(sentinel), str(out)],
         env=env,
         cwd=str(tmp_path),
     )
@@ -77,66 +69,59 @@ def run_driver(tmp_path, journal, sentinel, out, wait=True):
     return process
 
 
-def wait_for_ledger(journal: Path, lines: int, timeout: float = 30.0):
-    ledger = journal / "ledger.jsonl"
+def wait_for_cache(cache: Path, cells: int, timeout: float = 30.0):
+    # Entries appear by atomic rename, so every *.json file is complete.
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if ledger.exists():
-            complete = [
-                line
-                for line in ledger.read_text().splitlines()
-                if line.strip().endswith("}")
-            ]
-            if len(complete) >= lines:
-                return
+        if len(list(cache.glob("*.json"))) >= cells:
+            return
         time.sleep(0.05)
-    pytest.fail(f"ledger never reached {lines} entries")
+    pytest.fail(f"cache never reached {cells} entries")
 
 
 class TestKillAndResume:
     def test_sigkill_resume_is_byte_identical_with_zero_reexecution(
         self, tmp_path
     ):
-        journal = tmp_path / "journal"
+        cache = tmp_path / "cache"
         sentinel = tmp_path / "sentinel"
         killed_out = tmp_path / "killed.json"
 
         # Run 1: SIGKILL while parked inside the fourth cell.  The first
-        # three cells are durably ledgered; nothing else survives.
+        # three cells are durably cached; nothing else survives.
         process = run_driver(
-            tmp_path, journal, sentinel, killed_out, wait=False
+            tmp_path, cache, sentinel, killed_out, wait=False
         )
         try:
-            wait_for_ledger(journal, 3)
+            wait_for_cache(cache, 3)
         finally:
             process.send_signal(signal.SIGKILL)
         assert process.wait(timeout=30) == -signal.SIGKILL
         assert not killed_out.exists()  # the sweep never finished
 
-        # Run 2: same journal, sentinel pre-created -- the resume.
+        # Run 2: same cache, sentinel pre-created -- the resume.
         sentinel.touch()
         resumed_out = tmp_path / "resumed.json"
-        run_driver(tmp_path, journal, sentinel, resumed_out)
+        run_driver(tmp_path, cache, sentinel, resumed_out)
         stats = json.loads((tmp_path / "resumed.json.stats").read_text())
-        assert stats["ledger_hits"] == 3  # replayed, not re-executed
+        assert stats["hits"] == 3  # replayed, not re-executed
         assert stats["misses"] == 2  # only the unfinished cells ran
-        assert stats["hits"] == 0
 
-        # Reference: an uninterrupted run in a fresh journal.
+        # Reference: an uninterrupted run over a fresh cache.
         clean_out = tmp_path / "clean.json"
-        run_driver(tmp_path, tmp_path / "journal2", sentinel, clean_out)
+        run_driver(tmp_path, tmp_path / "cache2", sentinel, clean_out)
         assert resumed_out.read_bytes() == clean_out.read_bytes()
 
     def test_resumed_sweep_needs_no_third_run(self, tmp_path):
-        """After a completed journalled sweep, a re-run replays every
-        cell from the ledger -- the fully-warm path."""
-        journal = tmp_path / "journal"
+        """After a completed sweep, a re-run replays every cell from the
+        cache -- the fully-warm path."""
+        cache = tmp_path / "cache"
         sentinel = tmp_path / "sentinel"
         sentinel.touch()
-        run_driver(tmp_path, journal, sentinel, tmp_path / "first.json")
-        run_driver(tmp_path, journal, sentinel, tmp_path / "second.json")
+        run_driver(tmp_path, cache, sentinel, tmp_path / "first.json")
+        run_driver(tmp_path, cache, sentinel, tmp_path / "second.json")
         stats = json.loads((tmp_path / "second.json.stats").read_text())
-        assert stats["ledger_hits"] == 5
+        assert stats["hits"] == 5
         assert stats["misses"] == 0
         assert (tmp_path / "first.json").read_bytes() == (
             tmp_path / "second.json"

@@ -5,10 +5,18 @@ worker with ``os._exit``), which lets these tests drive every failure
 path of the hardened runner without touching real experiment cells.
 """
 
+import signal
+
 import pytest
 
+from repro.ckpt import ShutdownRequested, SignalSupervisor
 from repro.eval import ExperimentContext
-from repro.eval.runner import CellSpec, error_entry, is_error_cell
+from repro.eval.runner import (
+    CellSpec,
+    cell_cache_key,
+    error_entry,
+    is_error_cell,
+)
 
 
 def chaos(mode: str = "ok", **extras) -> CellSpec:
@@ -57,6 +65,28 @@ class TestSerialFailures:
         again.run_cells([chaos("ok", value=1), chaos("raise")])
         assert again.runner.stats.hits == 1
         assert again.runner.stats.misses == 1
+
+
+class TestShutdown:
+    def test_cells_collected_before_shutdown_are_cached(self, tmp_path):
+        """A SIGTERM between cells keeps every finished cell in the cache
+        (the cache is written as each outcome is collected, not at the
+        end of the batch), so a re-run over the same cache resumes."""
+        supervisor = SignalSupervisor()  # never installed: set by hand
+
+        def progress(done, total, stats):
+            if done == 1:
+                supervisor.pending = signal.SIGTERM
+
+        specs = ok_cells(3)
+        ctx = ExperimentContext(
+            workloads=[], cache_dir=tmp_path, supervisor=supervisor,
+            progress=progress,
+        )
+        with pytest.raises(ShutdownRequested):
+            ctx.run_cells(specs)
+        cached = sorted(path.name for path in tmp_path.glob("*.json"))
+        assert cached == [f"{cell_cache_key(specs[0], None)}.json"]
 
 
 class TestPoolFailures:

@@ -406,7 +406,11 @@ class TestHttpFrontend:
     def server(self):
         service = _service()
         server = make_http_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.1},
+            daemon=True,
+        )
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}", service

@@ -391,22 +391,35 @@ class TestCkptCli:
         assert resumed["metrics"] == full["metrics"]
         assert resumed["machine_cycles"] == full["machine_cycles"]
 
-    def test_experiment_journal_resume_byte_identical(self, tmp_path, capsys):
-        journal = tmp_path / "journal"
-        args = ["experiment", "table2", "--no-cache", "--quiet",
-                "--journal", str(journal)]
+    def test_experiment_cache_dir_rerun_byte_identical(self, tmp_path, capsys):
+        args = ["experiment", "table2", "--cache-dir", str(tmp_path / "cache")]
         first = tmp_path / "first"
         assert main(args + ["--json", str(first)]) == 0
         capsys.readouterr()
         second = tmp_path / "second"
-        assert main(args + ["--resume", "--json", str(second)]) == 0
+        assert main(args + ["--json", str(second)]) == 0
+        assert "hit rate 100%" in capsys.readouterr().err
         assert (first / "table2.json").read_bytes() == (
             second / "table2.json"
         ).read_bytes()
 
-    def test_experiment_resume_requires_journal(self, capsys):
-        assert main(["experiment", "table2", "--resume"]) == 2
-        assert "--journal" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "table2", "--journal", "d"],
+            ["experiment", "table2", "--resume"],
+            ["experiment", "table2", "--checkpoint-every", "5"],
+            ["fuzz", "--resume"],
+        ],
+        ids=["journal", "resume", "checkpoint-every", "fuzz-resume"],
+    )
+    def test_sweep_resume_flags_are_gone(self, argv, capsys):
+        # The cell cache is the sweep's one durable store; fuzz re-runs
+        # replay its --journal without a separate flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fuzz_journal_resume_replays(self, tmp_path, capsys):
         journal = tmp_path / "journal"
@@ -414,14 +427,10 @@ class TestCkptCli:
                 "--journal", str(journal)]
         assert main(args) == 0
         capsys.readouterr()
-        assert main(args + ["--resume"]) == 0
+        assert main(args) == 0
         out = capsys.readouterr().out
         assert "(4 replayed)" in out
         assert "4 equivalent" in out
-
-    def test_fuzz_resume_requires_journal(self, capsys):
-        assert main(["fuzz", "--campaigns", "1", "--resume"]) == 2
-        assert "--journal" in capsys.readouterr().err
 
 
 class TestFuzzCli:
