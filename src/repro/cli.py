@@ -22,8 +22,9 @@ Commands:
 * ``verify``     -- differential check: compile a workload (or ``all``
   of them) under a predicating model, run it on the cycle-level
   machine, and compare every architectural observable against the
-  scalar interpreter (``--replay CASE.json`` re-runs a serialized fuzz
-  finding).
+  scalar interpreter (``--security``: taint-check instead;
+  ``--replay CASE.json`` re-runs a frozen case of either kind through
+  the check it names).
 * ``fuzz``       -- seed-deterministic differential fuzzing campaigns
   over random structured programs, region policies, machine shapes and
   fault-raising loads; ``--shrink`` delta-debugs findings to minimal
@@ -374,8 +375,8 @@ def _write_json(document: dict, target: str, tag: str) -> None:
         print(f"[{tag}] {path}", file=sys.stderr)
 
 
-def _verify_runs(args):
-    """The (program, model, train, eval memory) runs ``verify`` checks.
+def _verify_runs(args) -> list[dict]:
+    """The check inputs ``verify`` runs on its target.
 
     ``all`` targets every workload, and ``--model all`` every
     executable model once ("predicating" is an alias for region_pred).
@@ -388,169 +389,136 @@ def _verify_runs(args):
         else [args.model]
     )
     targets = list(KERNELS) if args.target == "all" else [args.target]
+    taint = {"policy": args.policy} if args.security else {}
+    runs = []
     for target in targets:
         program, train, memory = _load_program_and_memory(target, args.seed)
-        for model in models:
-            yield program, model, train.clone(), memory.clone()
-
-
-def _cmd_verify_security(args) -> int:
-    """``repro verify --security``: taint-check instead of equivalence."""
-    from repro.taint import SecurityCase, run_security, security_document
-
-    sink = CounterSink()
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles}
-    results = []
-    reproduced = True
-    if args.replay:
-        case = SecurityCase.load(args.replay)
-        print(
-            f"replaying {args.replay} ({case.name}, policy {case.policy})"
+        runs.extend(
+            dict(program=program, model=model, config=base_machine(),
+                 train_memory=train.clone(), eval_memory=memory.clone(),
+                 **taint)
+            for model in models
         )
-        result = case.run(sink=sink, **limits)
-        results.append(result)
-        if case.expected_kind is not None:
-            kinds = {leak.kind for leak in result.leaks}
-            reproduced = case.expected_kind in kinds
-            status = "reproduced" if reproduced else "did NOT reproduce"
-            print(f"pinned {case.expected_kind} leak: {status}")
-    else:
-        if args.target is None:
-            print(
-                "verify --security needs a workload/file target, 'all', "
-                "or --replay CASE.json",
-                file=sys.stderr,
-            )
-            return 2
-        if args.max_cycles is not None:
-            limits["max_steps"] = args.max_cycles
-        for program, model, train, memory in _verify_runs(args):
-            results.append(
-                run_security(
-                    program,
-                    model,
-                    base_machine(),
-                    policy=args.policy,
-                    train_memory=train,
-                    eval_memory=memory,
-                    sink=sink,
-                    **limits,
-                )
-            )
-    for result in results:
-        print(result.describe())
-    if args.json:
-        document = security_document(results, metrics=sink.to_dict())
-        _write_json(document, args.json, "security")
-    # A replayed leak case is *expected* to leak; success there means
-    # the pinned channel reproduced.  Everywhere else, secure-or-fail.
-    if args.replay and case.expected_kind is not None:
-        return 0 if reproduced else 1
-    return 0 if all(result.secure for result in results) else 1
+    return runs
+
+
+def _limits(args) -> dict:
+    """``--max-cycles`` caps both engines (machine cycles and interpreter
+    steps): a livelocked case yields a structured step-limit error
+    result and exit 1 instead of hanging the check."""
+    if args.max_cycles is None:
+        return {}
+    return {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
+
+
+def _load_case(args, check: str | None = None):
+    """The ``--replay`` case; a broken file, or a case whose check is
+    not *check*, is a :class:`UsageError` (exit 2, never the exit 1 of a
+    real finding)."""
+    from repro.verify.case import ReproCase
+
+    try:
+        case = ReproCase.load(args.replay)
+    except ValueError as error:
+        raise UsageError(error) from None
+    if check is not None and case.check != check:
+        raise UsageError(
+            f"{args.replay}: expected a case for the {check} check, "
+            f"got one for the {case.check} check"
+        )
+    return case
 
 
 def cmd_verify(args) -> int:
-    from repro.verify import ReproCase, run_oracle
-
-    if args.security:
-        return _cmd_verify_security(args)
-    sink = CounterSink()
-    # --max-cycles caps both engines (machine cycles and interpreter
-    # steps): a livelocked case yields a structured step-limit error
-    # result and exit 1 instead of hanging the verifier.
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
-    results = []
+    """``repro verify``: the equivalence oracle, or with ``--security``
+    (or a replayed security case) the taint twin."""
+    case = None
     if args.replay:
-        case = ReproCase.load(args.replay)
-        print(f"replaying {args.replay} ({case.name}, {case.model})")
-        results.append(case.run(sink=sink, **limits))
+        case = _load_case(args, "security" if args.security else None)
+        security = case.check == "security"
+        detail = f"policy {case.policy}" if security else case.model
+        print(f"replaying {args.replay} ({case.name}, {detail})")
+        runs = [case.inputs()]
+    elif args.target is None:
+        flag = " --security" if args.security else ""
+        print(
+            f"verify{flag} needs a workload/file target, 'all', or "
+            "--replay CASE.json",
+            file=sys.stderr,
+        )
+        return 2
     else:
-        if args.target is None:
-            print(
-                "verify needs a workload/file target, 'all', or --replay "
-                "CASE.json",
-                file=sys.stderr,
-            )
-            return 2
-        for program, model, train, memory in _verify_runs(args):
-            results.append(
-                run_oracle(
-                    program,
-                    model,
-                    base_machine(),
-                    train_memory=train,
-                    eval_memory=memory,
-                    sink=sink,
-                    **limits,
-                )
-            )
+        security = args.security
+        runs = _verify_runs(args)
+    if security:
+        from repro.taint.oracle import run_security as run_check
+    else:
+        from repro.verify.oracle import run_oracle as run_check
+    sink = CounterSink()
+    results = [run_check(**run, sink=sink, **_limits(args)) for run in runs]
+    reproduced = None
+    if case is not None and case.expected_kind is not None:
+        reproduced = case.expected_kind in {
+            leak.kind for leak in results[0].leaks
+        }
+        status = "reproduced" if reproduced else "did NOT reproduce"
+        print(f"pinned {case.expected_kind} leak: {status}")
     for result in results:
         print(result.describe())
-    if args.json:
+    if args.json and security:
+        from repro.taint import security_document
+
+        document = security_document(results, metrics=sink.to_dict())
+        _write_json(document, args.json, "security")
+    elif args.json:
         document = {
             "schema": VERIFY_SCHEMA,
             "results": [result.to_dict() for result in results],
             "metrics": sink.to_dict(),
         }
         _write_json(document, args.json, "verify")
+    # A replayed leak case is *expected* to leak; success there means
+    # the pinned channel reproduced.  Everywhere else, the check's own
+    # verdict: equivalent, or secure.
+    if reproduced is not None:
+        return 0 if reproduced else 1
+    if security:
+        return 0 if all(result.secure for result in results) else 1
     return 0 if all(result.equivalent for result in results) else 1
 
 
 def cmd_diff_trace(args) -> int:
-    from repro.verify import (
-        ReproCase,
-        diff_trace_case,
-        merged_trace,
-        run_diff_trace,
-    )
+    from repro.verify import merged_trace, run_diff_trace
     from repro.verify.tracediff import TRACEDIFF_SCHEMA
 
-    limits: dict = {}
-    if args.max_cycles is not None:
-        limits = {"max_cycles": args.max_cycles, "max_steps": args.max_cycles}
-    tracer = None
     if args.replay:
-        case = ReproCase.load(args.replay)
-        if args.trace_out:
-            tracer = CycleTraceRecorder(case.name, pid=1, process="machine")
+        case = _load_case(args, "equivalence")
         print(f"diff-tracing {args.replay} ({case.name}, {case.model})")
-        result = diff_trace_case(
-            case,
-            window=args.window,
-            flight_capacity=args.flight_capacity,
-            tracer=tracer,
-            **limits,
+        inputs = case.inputs()
+    elif args.target is None:
+        print(
+            "diff-trace needs a workload/file target or --replay CASE.json",
+            file=sys.stderr,
         )
+        return 2
     else:
-        if args.target is None:
-            print(
-                "diff-trace needs a workload/file target or --replay "
-                "CASE.json",
-                file=sys.stderr,
-            )
-            return 2
         program, train, memory = _load_program_and_memory(
             args.target, args.seed
         )
-        if args.trace_out:
-            tracer = CycleTraceRecorder(
-                program.name, pid=1, process="machine"
-            )
-        result = run_diff_trace(
-            program,
-            args.model,
-            base_machine(),
-            train_memory=train.clone(),
-            eval_memory=memory.clone(),
-            window=args.window,
-            flight_capacity=args.flight_capacity,
-            tracer=tracer,
-            **limits,
+        inputs = dict(program=program, model=args.model, config=base_machine(),
+                      train_memory=train, eval_memory=memory)
+    tracer = None
+    if args.trace_out:
+        tracer = CycleTraceRecorder(
+            inputs["program"].name, pid=1, process="machine"
         )
+    result = run_diff_trace(
+        **inputs,
+        window=args.window,
+        flight_capacity=args.flight_capacity,
+        tracer=tracer,
+        **_limits(args),
+    )
     print(result.describe())
     if args.json:
         _write_json(result.to_dict(), args.json, "diff-trace")
@@ -919,6 +887,20 @@ def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_max_cycles(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-cycles",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "abort either engine after N cycles/steps with a structured "
+            "step-limit error result (exit 1) instead of hanging on a "
+            "livelocked case"
+        ),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1108,31 +1090,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--replay",
         metavar="CASE",
-        help="re-run a serialized repro case (JSON) instead of a workload",
+        help=(
+            "re-run a serialized case (JSON) through the check it names: "
+            "equivalence (repro-verify-case/v1) or security "
+            "(repro-security-case/v1)"
+        ),
     )
     verify_parser.add_argument(
         "--json",
         metavar="OUT",
         help=f"write the {VERIFY_SCHEMA} document ('-' for stdout)",
     )
-    verify_parser.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "abort either engine after N cycles/steps with a structured "
-            "step-limit error result (exit 1) instead of hanging on a "
-            "livelocked case"
-        ),
-    )
+    _add_max_cycles(verify_parser)
     verify_parser.add_argument(
         "--security",
         action="store_true",
         help=(
             "taint-check instead of equivalence-check: twin taint-on/"
             "taint-off runs, exit 1 on any speculative information leak "
-            "(--replay takes a repro-security-case/v1 JSON)"
+            "(with --replay, the case must be a security case)"
         ),
     )
     verify_parser.add_argument(
@@ -1169,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_trace_parser.add_argument(
         "--replay",
         metavar="CASE",
-        help="diff-trace a serialized repro case (JSON) instead",
+        help="diff-trace a serialized equivalence case (JSON) instead",
     )
     diff_trace_parser.add_argument(
         "--window",
@@ -1198,17 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pid 1, scalar pid 2)"
         ),
     )
-    diff_trace_parser.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "abort either engine after N cycles/steps with a structured "
-            "step-limit error result (exit 1) instead of hanging on a "
-            "livelocked case"
-        ),
-    )
+    _add_max_cycles(diff_trace_parser)
 
     fuzz_parser = commands.add_parser(
         "fuzz",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -53,7 +54,8 @@ from repro.obs.runlog import NULL_RUN_LOG, RunLog
 from repro.serve.backoff import backoff_delay
 from repro.workloads import Workload, all_workloads
 
-#: Bump to invalidate every cached cell (evaluator semantics changed).
+#: Bump when the cached entry's format changes; a change to the code
+#: that computes a cell already changes its key (:func:`source_digest`).
 #: v2: speedup cells additionally carry finite-BTB hit/miss statistics.
 CACHE_VERSION = 2
 
@@ -127,17 +129,40 @@ def _canonical(obj):
     return obj
 
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 of the ``repro`` package source, once per process.
+
+    Hashes every ``repro/**/*.py`` path (relative to the package, in
+    sorted order) together with the file's bytes, so a result cached or
+    ledgered by other code never counts as this code's.
+    """
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
     """Content hash identifying a cell's result.
 
     Covers everything the measurement depends on: the program *text* (not
     just the workload name), the train/eval seeds (memory contents derive
     from them), every field of the resolved policy and machine config,
-    the cell kind with its extras, and a cache version for evaluator
-    changes.  Changing any ingredient changes the key.
+    the cell kind with its extras, the code that measures it
+    (:func:`source_digest`), and a cache version for format changes.
+    Changing any ingredient changes the key.
     """
     payload = {
         "version": CACHE_VERSION,
+        "source": source_digest(),
         "kind": spec.kind,
         "run_machine": spec.run_machine,
         "policy": _canonical(spec.resolved_policy()),

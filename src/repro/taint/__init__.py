@@ -17,8 +17,11 @@ taint track on that boundary:
 * :mod:`repro.taint.gadget` -- seeded Spectre-v1-style gadget generator
   (leaky and clean variants, ground truth known);
 * :mod:`repro.taint.campaign` -- ``repro fuzz --mode security``: sweep
-  gadget space, check the detector against ground truth, shrink hits;
-* :mod:`repro.taint.case` -- replayable ``repro-security-case/v1`` JSON.
+  gadget space, check the detector against ground truth, shrink hits.
+
+A caught gadget freezes to a :class:`~repro.verify.case.ReproCase` with
+``check="security"`` (saved as ``repro-security-case/v1``), shrunk by
+the same :func:`~repro.verify.shrink.shrink_case` as divergences.
 """
 
 # Only the dependency-light leaves import eagerly: the core shadow
@@ -39,9 +42,6 @@ _LAZY = {
     "SecurityFinding": "repro.taint.campaign",
     "SecurityFuzzReport": "repro.taint.campaign",
     "run_security_fuzz": "repro.taint.campaign",
-    "shrink_security_case": "repro.taint.campaign",
-    "SECURITY_CASE_SCHEMA": "repro.taint.case",
-    "SecurityCase": "repro.taint.case",
     "CLEAN_VARIANTS": "repro.taint.gadget",
     "LEAKY_VARIANTS": "repro.taint.gadget",
     "GadgetSpec": "repro.taint.gadget",
@@ -70,10 +70,8 @@ __all__ = [
     "LeakRecord",
     "NULL_TAINT",
     "NullTaintTracker",
-    "SECURITY_CASE_SCHEMA",
     "SECURITY_FUZZ_SCHEMA",
     "SECURITY_SCHEMA",
-    "SecurityCase",
     "SecurityFinding",
     "SecurityFuzzReport",
     "SecurityResult",
@@ -86,6 +84,5 @@ __all__ = [
     "run_security",
     "run_security_fuzz",
     "security_document",
-    "shrink_security_case",
     "validate_security",
 ]

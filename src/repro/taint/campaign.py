@@ -11,7 +11,7 @@ truth:
 either is a detector bug, reported as a ``mismatch`` (the campaign's
 real finding class -- the gadgets themselves are known quantities).
 Detected leaks are optionally delta-debugged with the shared
-:func:`~repro.verify.shrink.ddmin_lines` (leak *kind* pinned, so the
+:func:`~repro.verify.shrink.shrink_case` (leak *kind* pinned, so the
 minimal gadget still leaks through the same channel) and frozen to
 ``findings/case-taint-<seed>-<index>.json`` for replay.
 """
@@ -21,17 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import NULL_SINK, MetricsSink
-from repro.taint.case import SecurityCase
 from repro.taint.gadget import GadgetSpec, derive_gadget
 from repro.taint.oracle import SecurityResult
-from repro.verify.shrink import ddmin_lines
+from repro.verify.case import ReproCase
+from repro.verify.shrink import shrink_case
 
 #: Artifact identifier for the campaign report; bump on layout changes.
 SECURITY_FUZZ_SCHEMA = "repro-security-fuzz/v1"
 
-#: Cycle budget for shrink candidates: gadgets are a handful of bundles,
-#: so anything past this is a degenerate candidate, not a repro.
-SHRINK_MAX_CYCLES = 100_000
+#: Candidates one gadget shrink may try.
+SHRINK_MAX_ATTEMPTS = 500
 
 
 @dataclass
@@ -40,7 +39,7 @@ class SecurityFinding:
 
     spec: GadgetSpec
     result: SecurityResult
-    case: SecurityCase
+    case: ReproCase
     original_bundles: int = 0
     shrunk_bundles: int = 0
     shrink_attempts: int = 0
@@ -112,51 +111,6 @@ class SecurityFuzzReport:
         }
 
 
-def _leak_reproduces(
-    case: SecurityCase, kind: str, sink: MetricsSink
-) -> bool:
-    """Does *case* still leak through channel *kind*?"""
-    try:
-        result = case.run(max_cycles=SHRINK_MAX_CYCLES, sink=sink)
-    except Exception:
-        # Unparseable / invalid / livelocked candidate: not a repro.
-        return False
-    return result.error is None and any(
-        leak.kind == kind for leak in result.leaks
-    )
-
-
-def shrink_security_case(
-    case: SecurityCase,
-    kind: str,
-    *,
-    max_attempts: int = 500,
-    sink: MetricsSink = NULL_SINK,
-) -> tuple[SecurityCase, int, int]:
-    """Minimize *case* while a *kind* leak keeps reproducing.
-
-    Returns ``(shrunk_case, attempts, accepted)``; the leak kind is
-    pinned so ddmin cannot trade e.g. an output leak for a memory one.
-    """
-    import dataclasses
-
-    def candidate(kept: list[str]) -> SecurityCase:
-        return dataclasses.replace(case, vliw_text="\n".join(kept) + "\n")
-
-    lines, attempts, accepted = ddmin_lines(
-        case.vliw_text.splitlines(),
-        lambda kept: _leak_reproduces(candidate(kept), kind, sink),
-        max_attempts=max_attempts,
-        sink=sink,
-    )
-    shrunk = candidate(lines)
-    shrunk.metadata = dict(case.metadata)
-    shrunk.metadata.update(
-        {"shrunk": True, "shrink_kind": kind, "shrink_attempts": attempts}
-    )
-    return shrunk, attempts, accepted
-
-
 def run_security_fuzz(
     campaigns: int,
     seed: int,
@@ -179,7 +133,7 @@ def run_security_fuzz(
     )
     for index in range(campaigns):
         spec = derive_gadget(seed, index)
-        case = SecurityCase.from_gadget(spec, policy=policy)
+        case = ReproCase.from_gadget(spec, policy=policy)
         result = case.run(sink=sink)
         if sink.enabled:
             sink.count("security.campaigns")
@@ -214,21 +168,26 @@ def run_security_fuzz(
         report.detected += 1
         if sink.enabled:
             sink.count("security.detections")
+        bundles = case.size()
         finding = SecurityFinding(
             spec=spec,
             result=result,
             case=case,
-            original_bundles=case.bundle_count(),
-            shrunk_bundles=case.bundle_count(),
+            original_bundles=bundles,
+            shrunk_bundles=bundles,
         )
         if shrink:
             assert first is not None
-            shrunk, attempts, _ = shrink_security_case(
-                case, first.kind, sink=sink
+            shrunk = shrink_case(
+                case,
+                category=first.kind,
+                initial_result=result,
+                max_attempts=SHRINK_MAX_ATTEMPTS,
+                sink=sink,
             )
-            finding.case = shrunk
-            finding.shrink_attempts = attempts
-            finding.shrunk_bundles = shrunk.bundle_count()
+            finding.case = shrunk.case
+            finding.shrink_attempts = shrunk.attempts
+            finding.shrunk_bundles = shrunk.shrunk_instructions
         if out_dir is not None:
             path = finding.case.save(
                 f"{out_dir}/case-taint-{seed}-{index}.json"

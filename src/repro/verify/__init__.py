@@ -6,11 +6,17 @@ through, must end in exactly the state sequential execution reaches.
 This package enforces that claim systematically:
 
 * :mod:`repro.verify.oracle` -- lockstep differential checker against the
-  scalar interpreter golden model;
+  scalar interpreter golden model, and :func:`prepare`, the front end
+  (model resolution, memory defaults, CFG, training run, compile) it
+  shares with the lockstep diff and the security twin
+  (:func:`repro.taint.oracle.run_security`);
+* :mod:`repro.verify.case` -- :class:`ReproCase`, the one replayable case
+  format: an equivalence case (``repro-verify-case/v1``) or a security
+  case (``repro-security-case/v1``), replayed through the check it names;
 * :mod:`repro.verify.fuzz` -- seed-deterministic random-program campaigns
   through the oracle;
-* :mod:`repro.verify.shrink` -- delta-debugging minimizer producing
-  replayable JSON repro cases;
+* :mod:`repro.verify.shrink` -- delta-debugging minimizer for either
+  kind of case;
 * :mod:`repro.verify.faults` -- fault-injection campaigns corrupting
   buffered speculative state mid-run;
 * :mod:`repro.verify.tracediff` -- lockstep forensics: both models run
@@ -19,7 +25,7 @@ This package enforces that claim systematically:
   context windows (``repro diff-trace``).
 """
 
-from repro.verify.case import CASE_SCHEMA, ReproCase
+from repro.verify.case import CASE_SCHEMA, SECURITY_CASE_SCHEMA, ReproCase
 from repro.verify.faults import FaultCampaignReport, run_fault_campaign
 from repro.verify.fuzz import FuzzReport, run_fuzz
 from repro.verify.oracle import (
@@ -34,7 +40,6 @@ from repro.verify.shrink import ShrinkResult, ddmin_lines, shrink_case
 from repro.verify.tracediff import (
     TRACEDIFF_SCHEMA,
     TraceDiffResult,
-    diff_trace_case,
     merged_trace,
     run_diff_trace,
     validate_tracediff,
@@ -48,11 +53,11 @@ __all__ = [
     "FuzzReport",
     "OracleResult",
     "ReproCase",
+    "SECURITY_CASE_SCHEMA",
     "ShrinkResult",
     "TRACEDIFF_SCHEMA",
     "TraceDiffResult",
     "VERIFY_MODELS",
-    "diff_trace_case",
     "merged_trace",
     "resolve_model",
     "run_diff_trace",

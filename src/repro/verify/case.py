@@ -1,11 +1,16 @@
-"""Serializable repro cases: a divergence, frozen to JSON.
+"""Serializable repro cases: a divergence or a leak, frozen to JSON.
 
-A :class:`ReproCase` captures everything a divergence needs to reproduce
-deterministically: the program text, the initial memory image (resident
-words plus, for demand-paged campaigns, the pager's backing store), the
-model with any policy overrides, and the machine configuration.  Cases
-round-trip through JSON (``repro verify --replay CASE.json``) so a fuzz
-finding shrunk on one machine replays bit-identically anywhere.
+A :class:`ReproCase` captures everything one check needs to reproduce
+deterministically and names that check.  An ``equivalence`` case
+(``repro-verify-case/v1``) holds the scalar program text, the initial
+memory image (resident words plus, for demand-paged campaigns, the
+pager's backing store), the model with any policy overrides, and the
+machine configuration.  A ``security`` case (``repro-security-case/v1``)
+holds a hand-scheduled VLIW program (the :mod:`repro.machine.text`
+grammar), the memory, the taint policy, and the leak kind a replay must
+reproduce.  Cases round-trip through JSON (``repro verify --replay
+CASE.json``) under their own schema, so a finding shrunk on one machine
+replays bit-identically anywhere.
 """
 
 from __future__ import annotations
@@ -15,16 +20,21 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.compiler.models import MODELS
 from repro.core.exceptions import FaultKind
 from repro.isa.parser import parse_program
-from repro.isa.program import Program
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, base_machine
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.sim.memory import Memory
+from repro.taint.track import POLICIES
 
-#: Envelope identifier; bump on breaking layout changes.
+#: Envelope identifiers, one per check; bump on breaking layout changes.
 CASE_SCHEMA = "repro-verify-case/v1"
+SECURITY_CASE_SCHEMA = "repro-security-case/v1"
+SCHEMAS = {"equivalence": CASE_SCHEMA, "security": SECURITY_CASE_SCHEMA}
+_CHECKS = {schema: check for check, schema in SCHEMAS.items()}
+
+#: Model name reported for prebuilt (hand-scheduled) VLIW programs.
+HAND_MODEL = "hand-vliw"
 
 
 def _with_path(path, reason: str) -> str:
@@ -33,9 +43,10 @@ def _with_path(path, reason: str) -> str:
 
 @dataclass
 class ReproCase:
-    """One self-contained, replayable differential-check input."""
+    """One self-contained, replayable check input."""
 
     name: str
+    #: Scalar assembly (equivalence) or scheduled VLIW text (security).
     program_text: str
     model: str
     config: MachineConfig
@@ -44,10 +55,26 @@ class ReproCase:
     backing: dict[int, int] | None = None  # pager backing store
     policy_overrides: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    check: str = "equivalence"  # "equivalence" | "security"
+    policy: str = "committed"  # taint policy (security)
+    expected_kind: str | None = None  # pinned leak channel (security)
 
     # -- reconstruction ------------------------------------------------
-    def program(self) -> Program:
+    def program(self):
+        """The parsed program: a ``Program`` or, for a security case, a
+        ``VLIWProgram``."""
+        if self.check == "security":
+            from repro.machine.text import parse_vliw
+
+            return parse_vliw(self.program_text, name=self.name)
         return parse_program(self.program_text, name=self.name)
+
+    def size(self) -> int:
+        """Instructions in the program (bundles for a security case)."""
+        program = self.program()
+        if self.check == "security":
+            return len(program.bundles)
+        return len(program.instructions)
 
     def make_memory(self) -> Memory:
         memory = Memory(mapped_only=self.mapped_only)
@@ -72,92 +99,133 @@ class ReproCase:
 
         return pager
 
+    def inputs(self) -> dict:
+        """Keyword arguments for the case's check: ``run_oracle`` and
+        ``run_diff_trace`` (equivalence) or ``run_security``."""
+        if self.check == "security":
+            return {
+                "vliw": self.program(),
+                "config": self.config,
+                "policy": self.policy,
+                "eval_memory": self.make_memory(),
+            }
+        return {
+            "program": self.program(),
+            "model": self.model,
+            "config": self.config,
+            "eval_memory": self.make_memory(),
+            "fault_handler": self.make_fault_handler(),
+            "policy_overrides": self.policy_overrides,
+        }
+
     def run(
-        self,
-        *,
-        machine_factory=None,
-        max_steps: int | None = None,
-        max_cycles: int | None = None,
-        sink: MetricsSink = NULL_SINK,
+        self, *, machine_factory=None, sink: MetricsSink = NULL_SINK, **limits
     ):
-        """Replay the case through the oracle; returns an OracleResult."""
+        """Replay the case through the check it names: an
+        ``OracleResult`` for equivalence, a ``SecurityResult`` for
+        security.  *limits* are the check's ``max_steps`` /
+        ``max_cycles`` budgets; *machine_factory* applies to equivalence
+        only."""
+        if self.check == "security":
+            from repro.taint.oracle import run_security
+
+            return run_security(**self.inputs(), sink=sink, **limits)
         from repro.verify.oracle import run_oracle
 
-        kwargs: dict = {}
-        if max_steps is not None:
-            kwargs["max_steps"] = max_steps
-        if max_cycles is not None:
-            kwargs["max_cycles"] = max_cycles
         return run_oracle(
-            self.program(),
-            self.model,
-            self.config,
-            eval_memory=self.make_memory(),
-            fault_handler=self.make_fault_handler(),
-            policy_overrides=self.policy_overrides,
-            machine_factory=machine_factory,
-            sink=sink,
-            **kwargs,
+            **self.inputs(), machine_factory=machine_factory, sink=sink,
+            **limits,
         )
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "schema": CASE_SCHEMA,
+        document = {
+            "schema": SCHEMAS[self.check],
             "name": self.name,
-            "program": self.program_text,
-            "model": self.model,
             "config": dataclasses.asdict(self.config),
             "memory": {str(a): v for a, v in sorted(self.memory_words.items())},
+            "metadata": dict(self.metadata),
+        }
+        if self.check == "security":
+            return {
+                **document,
+                "vliw": self.program_text,
+                "policy": self.policy,
+                "expected_kind": self.expected_kind,
+            }
+        backing = self.backing
+        return {
+            **document,
+            "program": self.program_text,
+            "model": self.model,
             "mapped_only": self.mapped_only,
             "backing": (
                 None
-                if self.backing is None
-                else {str(a): v for a, v in sorted(self.backing.items())}
+                if backing is None
+                else {str(a): v for a, v in sorted(backing.items())}
             ),
             "policy_overrides": dict(self.policy_overrides),
-            "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, document: dict, *, path=None) -> "ReproCase":
+        """Rebuild a case; any malformed document is a :class:`ValueError`
+        naming *path* and the reason."""
         from repro.ckpt.state import schema_mismatch_message
 
-        if not isinstance(document, dict):
-            raise ValueError(
-                _with_path(path, "repro case must be a JSON object")
-            )
-        schema = document.get("schema")
-        if schema != CASE_SCHEMA:
-            raise ValueError(
-                _with_path(
-                    path,
+        try:
+            if not isinstance(document, dict):
+                raise ValueError("repro case must be a JSON object")
+            schema = document.get("schema")
+            check = _CHECKS.get(schema)
+            if check is None:
+                raise ValueError(
                     "not a repro case: "
-                    + schema_mismatch_message(schema, CASE_SCHEMA),
+                    + schema_mismatch_message(schema, CASE_SCHEMA)
+                    + f" or {SECURITY_CASE_SCHEMA!r}"
                 )
-            )
-        model = document["model"]
-        from repro.verify.oracle import resolve_model
+            fields = {
+                "name": document["name"],
+                "config": MachineConfig(**document["config"]),
+                "memory_words": {
+                    int(a): v for a, v in document.get("memory", {}).items()
+                },
+                "metadata": dict(document.get("metadata", {})),
+                "check": check,
+            }
+            if check == "security":
+                policy = document.get("policy", "committed")
+                if policy not in POLICIES:
+                    raise ValueError(f"unknown taint policy {policy!r}")
+                return cls(
+                    program_text=document["vliw"],
+                    model=HAND_MODEL,
+                    policy=policy,
+                    expected_kind=document.get("expected_kind"),
+                    **fields,
+                )
+            from repro.verify.oracle import resolve_model
 
-        resolve_model(model)  # validate early, not at replay time
-        backing = document.get("backing")
-        return cls(
-            name=document["name"],
-            program_text=document["program"],
-            model=model,
-            config=MachineConfig(**document["config"]),
-            memory_words={
-                int(a): v for a, v in document.get("memory", {}).items()
-            },
-            mapped_only=bool(document.get("mapped_only", False)),
-            backing=(
-                None
-                if backing is None
-                else {int(a): v for a, v in backing.items()}
-            ),
-            policy_overrides=dict(document.get("policy_overrides", {})),
-            metadata=dict(document.get("metadata", {})),
-        )
+            model = document["model"]
+            resolve_model(model)  # validate early, not at replay time
+            backing = document.get("backing")
+            return cls(
+                program_text=document["program"],
+                model=model,
+                mapped_only=bool(document.get("mapped_only", False)),
+                backing=(
+                    None
+                    if backing is None
+                    else {int(a): v for a, v in backing.items()}
+                ),
+                policy_overrides=dict(document.get("policy_overrides", {})),
+                **fields,
+            )
+        except KeyError as error:
+            reason = f"missing key {error}"
+        except (AttributeError, TypeError, ValueError) as error:
+            reason = str(error)
+        raise ValueError(_with_path(path, reason))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -181,8 +249,9 @@ class ReproCase:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReproCase":
-        """Read one case file.  Every failure mode -- unreadable file,
-        bad JSON, wrong schema -- reports the path plus the reason in a
+        """Read one case file of either schema.  Every failure mode --
+        unreadable file, bad JSON, wrong schema, missing or malformed
+        field -- reports the path plus the reason in a
         :class:`ValueError`, never a raw traceback type."""
         try:
             text = Path(path).read_text()
@@ -192,9 +261,7 @@ class ReproCase:
             ) from error
         return cls.from_json(text, path=path)
 
-    def instruction_count(self) -> int:
-        return len(self.program().instructions)
-
+    # -- construction from campaign inputs -----------------------------
     @classmethod
     def from_synthetic(
         cls,
@@ -226,4 +293,30 @@ class ReproCase:
             backing=backing,
             policy_overrides=dict(policy_overrides or {}),
             metadata=dict(metadata or {}),
+        )
+
+    @classmethod
+    def from_gadget(
+        cls,
+        spec,
+        config: MachineConfig | None = None,
+        *,
+        policy: str = "committed",
+    ) -> "ReproCase":
+        """Freeze a :class:`~repro.taint.gadget.GadgetSpec` into a
+        security case."""
+        return cls(
+            name=f"taint-{spec.seed}-{spec.index}",
+            program_text=spec.vliw_text,
+            model=HAND_MODEL,
+            config=config if config is not None else base_machine(),
+            memory_words=dict(spec.memory_words),
+            metadata={
+                key: getattr(spec, key)
+                for key in ("variant", "seed", "index", "expected_leak",
+                            "secret_address", "bound", "oob_index")
+            },
+            check="security",
+            policy=policy,
+            expected_kind=spec.expected_kind,
         )

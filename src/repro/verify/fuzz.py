@@ -230,7 +230,11 @@ class FuzzReport:
 
 
 def _campaign_key(seed: int, index: int, models: tuple[str, ...]) -> str:
-    return f"fuzz:{seed}:{index}:{'/'.join(models)}"
+    """The campaign's ledger key; keyed by the code that ran it, so a
+    ledger written by other code replays nothing."""
+    from repro.eval.runner import source_digest
+
+    return f"fuzz:{seed}:{index}:{'/'.join(models)}:{source_digest()}"
 
 
 def run_fuzz(
@@ -273,7 +277,7 @@ def run_fuzz(
     ledger = journal.completed() if journal is not None else {}
     for index in range(campaigns):
         spec = derive_campaign(seed, index, resolved)
-        key = _campaign_key(seed, index, resolved)
+        key = None if journal is None else _campaign_key(seed, index, resolved)
         if spec.unmap_fraction > 0.0:
             report.faulting_campaigns += 1
         completed = ledger.get(key)

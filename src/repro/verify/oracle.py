@@ -33,7 +33,7 @@ from repro.compiler.models import MODELS
 from repro.compiler.pipeline import compile_program
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
-from repro.ir.cfg import build_cfg
+from repro.ir.cfg import CFG, build_cfg
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig, base_machine
 from repro.machine.program import VLIWProgram
@@ -63,10 +63,6 @@ MAX_SITES = 8
 #: fast during fuzzing and shrinking.
 DEFAULT_MAX_STEPS = 2_000_000
 DEFAULT_MAX_CYCLES = 20_000_000
-
-
-class _SkipMachine(Exception):
-    """Internal: the machine side cannot run (training hit its limit)."""
 
 
 def resolve_model(model: str) -> str:
@@ -210,6 +206,73 @@ class OracleResult:
         }
 
 
+@dataclass
+class Prepared:
+    """What every check starts from: one program, compiled once.
+
+    Without a *vliw*, *error* says why: the training run's step-limit
+    error (prefixed ``training run:``) or the scheduler's
+    :class:`ScheduleViolation`; each check reports it its own way.
+    """
+
+    model: str
+    config: MachineConfig
+    eval_memory: Memory
+    cfg: CFG
+    vliw: VLIWProgram | None = None
+    error: Exception | None = None
+
+
+def prepare(
+    program: Program,
+    model: str | ModelPolicy,
+    config: MachineConfig | None = None,
+    *,
+    train_memory: Memory | None = None,
+    eval_memory: Memory | None = None,
+    fault_handler=None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    policy_overrides: dict | None = None,
+) -> Prepared:
+    """The front end of the oracle, the lockstep diff and the security twin.
+
+    Resolves *model* (a name, alias or :class:`ModelPolicy`) and applies
+    *policy_overrides* (``dataclasses.replace`` fields; the fuzzer sweeps
+    ``window_blocks`` / ``share_equivalent_joins`` this way), defaults
+    the machine and memories (*train_memory* to *eval_memory*), builds
+    the CFG, profiles the branches with a training run, and compiles.  A
+    livelocked training run becomes :attr:`Prepared.error`, never a raw
+    traceback: the step limit is the point of ``--max-cycles``.
+    """
+    if isinstance(model, str):
+        name = resolve_model(model)
+        policy = MODELS[name]
+    else:
+        policy = model
+        name = policy.name
+    if policy_overrides:
+        policy = dataclasses.replace(policy, **policy_overrides)
+    config = config if config is not None else base_machine()
+    eval_memory = eval_memory if eval_memory is not None else Memory()
+    train_memory = train_memory if train_memory is not None else eval_memory
+    prepared = Prepared(name, config, eval_memory, build_cfg(program))
+    try:
+        train = run_scalar(
+            program,
+            prepared.cfg,
+            train_memory.clone(),
+            fault_handler=fault_handler,
+            max_steps=max_steps,
+        )
+        predictor = StaticPredictor.from_trace(train.trace)
+        prepared.vliw = compile_program(program, policy, config, predictor).vliw
+    except StepLimitExceeded as error:
+        prepared.error = StepLimitExceeded(f"training run: {error}")
+    except ScheduleViolation as error:  # the scheduler's own invariants
+        prepared.error = error
+    return prepared
+
+
 def region_label(vliw: VLIWProgram, pc: int) -> str | None:
     """The label of the region span containing bundle *pc*."""
     for span in vliw.regions:
@@ -236,22 +299,17 @@ def run_oracle(
 
     *machine_factory* (signature-compatible with :class:`VLIWMachine`)
     exists so tests can seed a deliberately broken machine and watch the
-    oracle catch it.  *policy_overrides* are ``dataclasses.replace``
-    fields applied to the resolved policy (the fuzzer sweeps
-    ``window_blocks`` / ``share_equivalent_joins`` this way).
+    oracle catch it.  The other arguments go to :func:`prepare`.
     """
-    if isinstance(model, str):
-        name = resolve_model(model)
-        policy = MODELS[name]
-    else:
-        policy = model
-        name = policy.name
-    if policy_overrides:
-        policy = dataclasses.replace(policy, **policy_overrides)
-    config = config if config is not None else base_machine()
-    eval_memory = eval_memory if eval_memory is not None else Memory()
-    train_memory = (
-        train_memory if train_memory is not None else eval_memory.clone()
+    front = prepare(
+        program,
+        model,
+        config,
+        train_memory=train_memory,
+        eval_memory=eval_memory,
+        fault_handler=fault_handler,
+        max_steps=max_steps,
+        policy_overrides=policy_overrides,
     )
     factory = machine_factory if machine_factory is not None else VLIWMachine
 
@@ -262,11 +320,10 @@ def run_oracle(
     golden: InterpreterResult | None = None
     golden_fault: UnhandledFault | None = None
     scalar_error: str | None = None
-    cfg = build_cfg(program)
     interpreter = Interpreter(
         program,
-        eval_memory.clone(),
-        cfg=cfg,
+        front.eval_memory.clone(),
+        cfg=front.cfg,
         fault_handler=fault_handler,
         max_steps=max_steps,
     )
@@ -277,47 +334,29 @@ def run_oracle(
     except StepLimitExceeded as error:
         scalar_error = str(error)
 
-    # --- compile (training run profiles the branches) -----------------
+    # --- machine -------------------------------------------------------
     machine_error: str | None = None
     machine_fault: UnhandledFault | None = None
     machine_result: VLIWResult | None = None
     machine = None
     snapshot: MachineSnapshot | None = None
-    predictor = None
-    try:
-        # A livelocked training run must become a structured result,
-        # not a raw traceback: the step limit is the whole point of
-        # ``--max-cycles`` on replayed cases.
-        train = run_scalar(
-            program,
-            cfg,
-            train_memory.clone(),
-            fault_handler=fault_handler,
-            max_steps=max_steps,
-        )
-        predictor = StaticPredictor.from_trace(train.trace)
-    except StepLimitExceeded as error:
-        machine_error = f"StepLimitExceeded: training run: {error}"
-    try:
-        if predictor is None:
-            raise _SkipMachine
-        compiled = compile_program(program, policy, config, predictor)
-        assert compiled.vliw is not None
-        machine = factory(
-            compiled.vliw,
-            config,
-            eval_memory.clone(),
-            fault_handler=fault_handler,
-            max_cycles=max_cycles,
-        )
-        machine_result = machine.run()
-    except _SkipMachine:
-        pass  # training blew the step limit; machine_error already says so
-    except UnhandledFault as fault:
-        machine_fault = fault
-    except (ScheduleViolation, MachineAbort) as error:
-        machine_error = f"{type(error).__name__}: {error}"
-        snapshot = getattr(error, "snapshot", None)
+    if front.error is not None:
+        machine_error = f"{type(front.error).__name__}: {front.error}"
+    else:
+        try:
+            machine = factory(
+                front.vliw,
+                front.config,
+                front.eval_memory.clone(),
+                fault_handler=fault_handler,
+                max_cycles=max_cycles,
+            )
+            machine_result = machine.run()
+        except UnhandledFault as fault:
+            machine_fault = fault
+        except (ScheduleViolation, MachineAbort) as error:
+            machine_error = f"{type(error).__name__}: {error}"
+            snapshot = getattr(error, "snapshot", None)
     if machine is not None and snapshot is None:
         snapshot = machine.snapshot()
 
@@ -333,7 +372,7 @@ def run_oracle(
             final_region = region_label(machine.program, snapshot.pc)
         report = DivergenceReport(
             program=program.name,
-            model=name,
+            model=front.model,
             category=sites[0].kind,
             sites=tuple(sites[:MAX_SITES]),
             region=final_region,
@@ -357,7 +396,7 @@ def run_oracle(
 
     return OracleResult(
         program=program.name,
-        model=name,
+        model=front.model,
         equivalent=report is None,
         report=report,
         scalar_cycles=golden.scalar_cycles if golden is not None else None,

@@ -1,15 +1,15 @@
-"""Delta-debugging minimizer for divergent repro cases.
+"""Delta-debugging minimizer for repro cases.
 
-Given a :class:`~repro.verify.case.ReproCase` whose oracle run diverges,
-``shrink_case`` greedily removes chunks of program lines (halving chunk
-sizes, ddmin-style) while the *same category* of divergence still
-reproduces.  Candidates that fail to parse, fail validation, stop
-diverging, or diverge differently are rejected; livelocked candidates
-are cut off by *adaptive* step/cycle budgets -- a small multiple of what
-the unshrunk case actually needed, not the static worst-case ceilings --
-so a mutation that turns the program into an infinite loop costs
-milliseconds to reject instead of seconds.  The result is a minimal case
-serializable to JSON and replayable via
+Given a :class:`~repro.verify.case.ReproCase` whose check finds
+something, ``shrink_case`` greedily removes chunks of program lines
+(halving chunk sizes, ddmin-style) while the same finding reproduces:
+the same divergence *category* for an equivalence case, a leak of the
+same *kind* for a security case.  Candidates that fail to parse, fail
+validation, or stop reproducing are rejected; livelocked candidates are
+cut off by budgets -- for equivalence cases *adaptive* ones, a small
+multiple of what the unshrunk case actually needed -- so a mutation
+that loops forever costs milliseconds to reject instead of seconds.
+The result is a minimal case replayable via
 ``repro verify --replay CASE.json``.
 """
 
@@ -28,6 +28,10 @@ from repro.verify.oracle import OracleResult
 SHRINK_MAX_STEPS = 200_000
 SHRINK_MAX_CYCLES = 2_000_000
 
+#: Cycle budget for security-case candidates: gadgets are a handful of
+#: bundles, so anything past this is a degenerate candidate, not a repro.
+GADGET_MAX_CYCLES = 100_000
+
 #: Candidate budgets scale with the initial run: removing lines cannot
 #: legitimately make the program run much longer, so a candidate gets
 #: ``margin * observed`` (floored -- tiny programs deserve slack for
@@ -38,7 +42,7 @@ SHRINK_MIN_CYCLES = 10_000
 
 
 def candidate_budgets(initial: OracleResult | None) -> tuple[int, int]:
-    """Step/cycle budgets for candidate runs, from the *initial* run.
+    """Step/cycle budgets for equivalence candidates, from *initial*.
 
     Falls back to the static ceilings when the initial run's cycle
     counts are unknown (e.g. it crashed before completing).
@@ -66,9 +70,8 @@ def ddmin_lines(
     Repeatedly deletes chunks (size halving from ``len(lines)//2`` down
     to 1) while ``reproduces(kept_lines)`` stays True; a rejected chunk
     is put back and the window advances.  Returns ``(minimized_lines,
-    attempts, accepted)``.  Shared by the divergence shrinker and the
-    security-campaign leak shrinker -- *reproduces* owns all domain
-    judgment (parse, validate, run, classify).
+    attempts, accepted)``.  *reproduces* owns all domain judgment
+    (parse, validate, run, classify).
     """
     lines = list(lines)
     attempts = 0
@@ -106,10 +109,10 @@ class ShrinkResult:
     """The minimized case plus how the search went."""
 
     case: ReproCase
-    category: str
+    category: str  # divergence category, or leak kind for a security case
     attempts: int
     accepted: int
-    original_instructions: int
+    original_instructions: int  # case sizes: bundles for a security case
     shrunk_instructions: int
 
     def describe(self) -> str:
@@ -121,6 +124,17 @@ class ShrinkResult:
         )
 
 
+def _findings(case: ReproCase, result) -> list[str]:
+    """What *result* of *case*'s check found, first finding first: the
+    divergence category of an equivalence run, the leak kinds of a
+    security run that finished cleanly."""
+    if case.check == "security":
+        if result.error is not None:
+            return []
+        return [leak.kind for leak in result.leaks]
+    return [] if result.report is None else [result.report.category]
+
+
 def _reproduces(
     case: ReproCase,
     category: str,
@@ -129,7 +143,7 @@ def _reproduces(
     max_steps: int,
     max_cycles: int,
 ) -> bool:
-    """Does *case* still produce a *category* divergence?"""
+    """Does *case* still find *category*?"""
     try:
         result = case.run(
             machine_factory=machine_factory,
@@ -140,9 +154,9 @@ def _reproduces(
     except Exception:
         # Unparseable/invalid/degenerate candidate (e.g. an unhandled
         # fault during the training run, or a livelocked candidate
-        # exceeding its adaptive budget): not a reproduction.
+        # exceeding its budget): not a reproduction.
         return False
-    return result.report is not None and result.report.category == category
+    return category in _findings(case, result)
 
 
 def shrink_case(
@@ -150,21 +164,26 @@ def shrink_case(
     *,
     machine_factory=None,
     category: str | None = None,
-    initial_result: OracleResult | None = None,
+    initial_result=None,
     max_attempts: int = 2_000,
     sink: MetricsSink = NULL_SINK,
 ) -> ShrinkResult:
-    """Minimize *case* while its divergence keeps reproducing.
+    """Minimize *case* while its finding keeps reproducing.
 
-    *category* pins the divergence class to preserve (defaults to the
-    category the unshrunk case produces).  *initial_result* is the
-    unshrunk case's oracle result, if the caller already has it -- its
-    cycle counts size the per-candidate livelock budgets
+    *category* pins the finding to preserve: a divergence category, or
+    for a security case a leak kind (so ddmin cannot trade e.g. an
+    output leak for a memory one).  It defaults to the first finding of
+    the unshrunk case.  *initial_result* is the unshrunk case's result,
+    if the caller already has it -- for an equivalence case its cycle
+    counts size the per-candidate livelock budgets
     (:func:`candidate_budgets`); when absent the initial case is run
     here.  *machine_factory* must match whatever produced the original
     divergence (e.g. a deliberately broken machine subclass under test).
     """
-    if category is None or initial_result is None:
+    security = case.check == "security"
+    # Security candidates run under a fixed budget, so only a missing
+    # category needs the unshrunk security case run first.
+    if category is None or (initial_result is None and not security):
         initial_result = case.run(
             machine_factory=machine_factory,
             max_steps=SHRINK_MAX_STEPS,
@@ -172,14 +191,19 @@ def shrink_case(
             sink=sink,
         )
         if category is None:
-            if initial_result.report is None:
+            found = _findings(case, initial_result)
+            if not found:
+                verb = "leak" if security else "diverge"
                 raise ValueError(
-                    f"{case.name}: case does not diverge; nothing to shrink"
+                    f"{case.name}: case does not {verb}; nothing to shrink"
                 )
-            category = initial_result.report.category
-    max_steps, max_cycles = candidate_budgets(initial_result)
+            category = found[0]
+    if security:
+        max_steps, max_cycles = SHRINK_MAX_STEPS, GADGET_MAX_CYCLES
+    else:
+        max_steps, max_cycles = candidate_budgets(initial_result)
 
-    original_instructions = case.instruction_count()
+    original_size = case.size()
 
     def candidate(kept: list[str]) -> ReproCase:
         return dataclasses.replace(
@@ -201,20 +225,19 @@ def shrink_case(
     )
 
     shrunk = candidate(lines)
-    shrunk.metadata = dict(case.metadata)
-    shrunk.metadata.update(
-        {
-            "shrunk": True,
-            "shrink_category": category,
-            "shrink_attempts": attempts,
-            "original_instructions": original_instructions,
-        }
-    )
+    shrunk.metadata = {
+        **case.metadata, "shrunk": True, "shrink_attempts": attempts
+    }
+    if security:
+        shrunk.metadata["shrink_kind"] = category
+    else:
+        shrunk.metadata["shrink_category"] = category
+        shrunk.metadata["original_instructions"] = original_size
     return ShrinkResult(
         case=shrunk,
         category=category,
         attempts=attempts,
         accepted=accepted,
-        original_instructions=original_instructions,
-        shrunk_instructions=shrunk.instruction_count(),
+        original_instructions=original_size,
+        shrunk_instructions=shrunk.size(),
     )

@@ -20,15 +20,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.models import MODELS
-from repro.compiler.pipeline import compile_program
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
-from repro.ir.cfg import build_cfg
 from repro.isa.program import Program
-from repro.machine.config import MachineConfig, base_machine
-from repro.machine.scalar import run_scalar
+from repro.machine.config import MachineConfig
 from repro.machine.vliw import VLIWMachine
 from repro.obs.diagnostics import MachineAbort
 from repro.obs.effects import EffectDivergence, EffectStream, first_divergence
@@ -36,12 +31,7 @@ from repro.obs.flight import DEFAULT_CAPACITY, FlightEvent, RingRecorder
 from repro.obs.trace_events import CycleTraceRecorder
 from repro.sim.interpreter import Interpreter, StepLimitExceeded
 from repro.sim.memory import Memory
-from repro.verify.case import ReproCase
-from repro.verify.oracle import (
-    DEFAULT_MAX_CYCLES,
-    DEFAULT_MAX_STEPS,
-    resolve_model,
-)
+from repro.verify.oracle import DEFAULT_MAX_CYCLES, DEFAULT_MAX_STEPS, prepare
 
 #: Envelope identifier for the diff-trace artifact; bump on layout changes.
 TRACEDIFF_SCHEMA = "repro-tracediff/v1"
@@ -51,10 +41,6 @@ DEFAULT_WINDOW = 8
 
 #: Trailing effects included in the artifact for context.
 _EFFECT_TAIL = 16
-
-
-class _SkipMachine(Exception):
-    """Internal: the machine side cannot run (training hit its limit)."""
 
 
 @dataclass
@@ -69,6 +55,12 @@ class SideRun:
     unhandled: tuple[str, int | None] | None = None  # (kind, address)
     registers: dict[int, int] | None = None
     handled_faults: int = 0
+
+    @classmethod
+    def recording(cls, name: str, flight_capacity: int) -> "SideRun":
+        """A side with a fresh flight recorder feeding its effect stream."""
+        flight = RingRecorder(flight_capacity, source=name)
+        return cls(name=name, effects=EffectStream(name, flight), flight=flight)
 
     def to_dict(self) -> dict:
         return {
@@ -223,38 +215,29 @@ def run_diff_trace(
 ) -> TraceDiffResult:
     """Run both sides fully instrumented and align their effect streams.
 
-    Mirrors :func:`repro.verify.oracle.run_oracle`'s compilation and
-    memory plumbing exactly, so a case that diverges under the oracle
-    diverges identically here.  *tracer*, when given, is attached to the
-    machine run (see :func:`merged_trace` for the two-process view).
+    Shares the oracle's front end (:func:`~repro.verify.oracle.prepare`),
+    so a case that diverges under the oracle diverges identically here.
+    *tracer*, when given, is attached to the machine run (see
+    :func:`merged_trace` for the two-process view).
     """
-    if isinstance(model, str):
-        name = resolve_model(model)
-        policy = MODELS[name]
-    else:
-        policy = model
-        name = policy.name
-    if policy_overrides:
-        policy = dataclasses.replace(policy, **policy_overrides)
-    config = config if config is not None else base_machine()
-    eval_memory = eval_memory if eval_memory is not None else Memory()
-    train_memory = (
-        train_memory if train_memory is not None else eval_memory.clone()
+    front = prepare(
+        program,
+        model,
+        config,
+        train_memory=train_memory,
+        eval_memory=eval_memory,
+        fault_handler=fault_handler,
+        max_steps=max_steps,
+        policy_overrides=policy_overrides,
     )
     factory = machine_factory if machine_factory is not None else VLIWMachine
 
     # --- scalar golden model, instrumented ----------------------------
-    scalar = SideRun(
-        name="scalar",
-        effects=None,  # set below (stream needs the recorder)
-        flight=RingRecorder(flight_capacity, source="scalar"),
-    )
-    scalar.effects = EffectStream("scalar", scalar.flight)
-    cfg = build_cfg(program)
+    scalar = SideRun.recording("scalar", flight_capacity)
     interpreter = Interpreter(
         program,
-        eval_memory.clone(),
-        cfg=cfg,
+        front.eval_memory.clone(),
+        cfg=front.cfg,
         fault_handler=fault_handler,
         max_steps=max_steps,
         flight=scalar.flight,
@@ -272,54 +255,34 @@ def run_diff_trace(
         scalar.error = str(error)
 
     # --- machine, instrumented ----------------------------------------
-    machine_side = SideRun(
-        name="machine",
-        effects=None,
-        flight=RingRecorder(flight_capacity, source="machine"),
-    )
-    machine_side.effects = EffectStream("machine", machine_side.flight)
-    predictor = None
-    try:
-        # Mirror the oracle: a livelocked training run becomes a
-        # structured machine-side error, never a raw traceback.
-        train = run_scalar(
-            program,
-            cfg,
-            train_memory.clone(),
-            fault_handler=fault_handler,
-            max_steps=max_steps,
-        )
-        predictor = StaticPredictor.from_trace(train.trace)
-    except StepLimitExceeded as error:
-        machine_side.error = f"StepLimitExceeded: training run: {error}"
-    machine = None
-    try:
-        if predictor is None:
-            raise _SkipMachine
-        compiled = compile_program(program, policy, config, predictor)
-        assert compiled.vliw is not None
-        machine = factory(
-            compiled.vliw,
-            config,
-            eval_memory.clone(),
-            fault_handler=fault_handler,
-            max_cycles=max_cycles,
-            flight=machine_side.flight,
-            effects=machine_side.effects,
-            tracer=tracer,
-        )
-        result = machine.run()
-        machine_side.cycles = result.cycles
-        machine_side.registers = dict(enumerate(result.registers))
-        machine_side.handled_faults = result.handled_faults
-    except _SkipMachine:
-        pass  # training blew the step limit; the side error already says so
-    except UnhandledFault as fault:
-        machine_side.unhandled = (fault.fault.kind.value, fault.fault.address)
-        if machine is not None:
-            machine_side.handled_faults = machine.handled_faults
-    except (ScheduleViolation, MachineAbort) as error:
-        machine_side.error = f"{type(error).__name__}: {error}"
+    machine_side = SideRun.recording("machine", flight_capacity)
+    if front.error is not None:
+        machine_side.error = f"{type(front.error).__name__}: {front.error}"
+    else:
+        machine = None
+        try:
+            machine = factory(
+                front.vliw,
+                front.config,
+                front.eval_memory.clone(),
+                fault_handler=fault_handler,
+                max_cycles=max_cycles,
+                flight=machine_side.flight,
+                effects=machine_side.effects,
+                tracer=tracer,
+            )
+            result = machine.run()
+            machine_side.cycles = result.cycles
+            machine_side.registers = dict(enumerate(result.registers))
+            machine_side.handled_faults = result.handled_faults
+        except UnhandledFault as fault:
+            machine_side.unhandled = (
+                fault.fault.kind.value, fault.fault.address
+            )
+            if machine is not None:
+                machine_side.handled_faults = machine.handled_faults
+        except (ScheduleViolation, MachineAbort) as error:
+            machine_side.error = f"{type(error).__name__}: {error}"
 
     # --- align ---------------------------------------------------------
     divergence = first_divergence(
@@ -337,7 +300,7 @@ def run_diff_trace(
     )
     return TraceDiffResult(
         program=program.name,
-        model=name,
+        model=front.model,
         equivalent=equivalent,
         divergence=divergence,
         scalar=scalar,
@@ -345,37 +308,6 @@ def run_diff_trace(
         window=window,
         scalar_window=_cut_window(scalar, divergence, window),
         machine_window=_cut_window(machine_side, divergence, window),
-    )
-
-
-def diff_trace_case(
-    case: ReproCase,
-    *,
-    machine_factory=None,
-    max_steps: int | None = None,
-    max_cycles: int | None = None,
-    window: int = DEFAULT_WINDOW,
-    flight_capacity: int = DEFAULT_CAPACITY,
-    tracer: CycleTraceRecorder | None = None,
-) -> TraceDiffResult:
-    """Replay a serialized repro case through the lockstep diff."""
-    kwargs: dict = {}
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
-    if max_cycles is not None:
-        kwargs["max_cycles"] = max_cycles
-    return run_diff_trace(
-        case.program(),
-        case.model,
-        case.config,
-        eval_memory=case.make_memory(),
-        fault_handler=case.make_fault_handler(),
-        policy_overrides=case.policy_overrides,
-        machine_factory=machine_factory,
-        window=window,
-        flight_capacity=flight_capacity,
-        tracer=tracer,
-        **kwargs,
     )
 
 

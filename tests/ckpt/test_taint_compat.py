@@ -24,7 +24,7 @@ from repro.ckpt.state import (
 from repro.machine.config import base_machine
 from repro.machine.vliw import VLIWMachine
 from repro.taint import TaintTracker, derive_gadget
-from repro.taint.case import SecurityCase
+from repro.verify.case import ReproCase
 
 from tests.ckpt.test_roundtrip import fresh_machine, recovery_program
 
@@ -58,9 +58,9 @@ def _entry_taints(machine: VLIWMachine) -> list:
 def _leaky_gadget_machine(taint: TaintTracker | None = None) -> VLIWMachine:
     """A hand-scheduled speculative gadget mid-flight taints state."""
     spec = _leaky_spec()
-    case = SecurityCase.from_gadget(spec)
+    case = ReproCase.from_gadget(spec)
     return VLIWMachine(
-        case.vliw(),
+        case.program(),
         case.config,
         case.make_memory(),
         **({} if taint is None else {"taint": taint}),
@@ -102,7 +102,7 @@ class TestPreTaintSnapshotsRestoreAllClear:
         tracker = TaintTracker()
         machine = _leaky_gadget_machine(tracker)
         spec = _leaky_spec()
-        case = SecurityCase.from_gadget(spec)
+        case = ReproCase.from_gadget(spec)
 
         tainted_doc = None
         while machine.step():
@@ -116,7 +116,7 @@ class TestPreTaintSnapshotsRestoreAllClear:
         # document a pre-taint writer would have produced at this cycle.
         pre_taint = _strip_taint(tainted_doc)
         pre_taint["hash"] = content_hash(pre_taint)
-        restored = restore_vliw(pre_taint, case.vliw(), case.config)
+        restored = restore_vliw(pre_taint, case.program(), case.config)
         taints = _entry_taints(restored)
         assert taints, "restored machine should still have buffered state"
         assert all(taint is None for taint in taints)
@@ -127,14 +127,14 @@ class TestTaintRoundTrip:
         tracker = TaintTracker()
         machine = _leaky_gadget_machine(tracker)
         spec = _leaky_spec()
-        case = SecurityCase.from_gadget(spec)
+        case = ReproCase.from_gadget(spec)
 
         checked_tainted = 0
         while machine.step():
             document = snapshot_vliw(machine)
             # File-write fidelity: through canonical JSON and back.
             document = json.loads(canonical_dumps(document))
-            restored = restore_vliw(document, case.vliw(), case.config)
+            restored = restore_vliw(document, case.program(), case.config)
             again = snapshot_vliw(restored)
             assert canonical_dumps(again) == canonical_dumps(document)
             if '"taint"' in canonical_dumps(document):

@@ -139,6 +139,34 @@ class TestCellRunner:
         again.run_cells([_speedup_spec()])
         assert again.runner.stats.misses == 1
 
+    def test_other_source_digest_misses_every_cell(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.eval.runner as runner
+
+        specs = [_speedup_spec(), _speedup_spec(model="trace")]
+        monkeypatch.setattr(runner, "source_digest", lambda: "code-a")
+        ExperimentContext(cache_dir=tmp_path).run_cells(specs)
+
+        monkeypatch.setattr(runner, "source_digest", lambda: "code-b")
+        other = ExperimentContext(cache_dir=tmp_path)
+        other.run_cells(specs)
+        assert other.runner.stats.misses == 2
+        assert other.runner.stats.hits == 0
+
+        monkeypatch.setattr(runner, "source_digest", lambda: "code-a")
+        same = ExperimentContext(cache_dir=tmp_path)
+        same.run_cells(specs)
+        assert same.runner.stats.hits == 2
+        assert same.runner.stats.misses == 0
+
+    def test_source_digest_is_computed_once(self):
+        from repro.eval.runner import source_digest
+
+        digest = source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert source_digest() is digest
+
     def test_parallel_matches_serial(self, tmp_path):
         specs = [
             _speedup_spec(workload=name, model=model)

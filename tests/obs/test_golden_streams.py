@@ -38,7 +38,7 @@ from repro.obs.effects import EffectStream
 from repro.obs.flight import RingRecorder
 from repro.obs.metrics import CounterSink
 from repro.obs.trace_events import CycleTraceRecorder
-from repro.taint.case import SecurityCase
+from repro.verify.case import ReproCase
 from repro.taint.track import TaintTracker
 from repro.verify.fuzz import build_case, derive_campaign
 from repro.workloads import get_workload
@@ -58,7 +58,7 @@ def _digest(payload) -> str:
 
 
 def case_document(name: str) -> dict:
-    result = SecurityCase.load(ROOT / "findings" / f"{name}.json").run()
+    result = ReproCase.load(ROOT / "findings" / f"{name}.json").run()
     document = result.to_dict()
     return {
         "flight_window": document["flight_window"],

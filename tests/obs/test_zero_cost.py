@@ -166,11 +166,11 @@ class TestDisabledRecorderGuard:
         # identical cycle counts and architectural verdicts, i.e. the
         # recorder observes the machine without becoming part of it.
         from repro.verify.fuzz import build_case, derive_campaign
-        from repro.verify.tracediff import diff_trace_case
+        from repro.verify.tracediff import run_diff_trace
 
         case = build_case(derive_campaign(0, 0))
         bare = case.run()
-        instrumented = diff_trace_case(case)
+        instrumented = run_diff_trace(**case.inputs())
         assert instrumented.equivalent == bare.equivalent
         assert instrumented.machine.cycles == bare.machine_cycles
         assert instrumented.scalar.cycles == bare.scalar_cycles

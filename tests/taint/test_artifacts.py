@@ -3,7 +3,7 @@
 import pytest
 
 from repro.taint import security_document, validate_security
-from repro.taint.case import SecurityCase
+from repro.verify.case import ReproCase
 from repro.taint.gadget import build_gadget
 from repro.workloads import get_workload
 from repro.taint.oracle import run_security
@@ -23,7 +23,7 @@ def _secure_result():
 
 def _leaky_result():
     spec = build_gadget(1, 0, "direct-out", random.Random("a"))
-    return SecurityCase.from_gadget(spec).run()
+    return ReproCase.from_gadget(spec).run()
 
 
 class TestSecurityDocument:
@@ -64,39 +64,39 @@ class TestSecurityDocument:
 class TestSecurityCaseFormat:
     def test_round_trip(self):
         spec = build_gadget(4, 2, "store", random.Random("rt"))
-        case = SecurityCase.from_gadget(spec)
-        rebuilt = SecurityCase.from_json(case.to_json())
-        assert rebuilt.vliw_text == case.vliw_text
+        case = ReproCase.from_gadget(spec)
+        rebuilt = ReproCase.from_json(case.to_json())
+        assert rebuilt.program_text == case.program_text
         assert rebuilt.memory_words == case.memory_words
         assert rebuilt.expected_kind == case.expected_kind
         assert rebuilt.policy == case.policy
 
     def test_save_load(self, tmp_path):
         spec = build_gadget(4, 2, "alu-out", random.Random("rt"))
-        case = SecurityCase.from_gadget(spec)
+        case = ReproCase.from_gadget(spec)
         path = tmp_path / "case.json"
         case.save(path)
-        loaded = SecurityCase.load(path)
-        assert loaded.vliw_text == case.vliw_text
+        loaded = ReproCase.load(path)
+        assert loaded.program_text == case.program_text
         assert not loaded.run().secure
 
     def test_rejects_bad_schema(self):
         spec = build_gadget(4, 2, "store", random.Random("rt"))
-        document = SecurityCase.from_gadget(spec).to_dict()
+        document = ReproCase.from_gadget(spec).to_dict()
         document["schema"] = "repro-case/v1"
         with pytest.raises(ValueError):
-            SecurityCase.from_dict(document)
+            ReproCase.from_dict(document)
 
     def test_rejects_unknown_policy(self):
         spec = build_gadget(4, 2, "store", random.Random("rt"))
-        document = SecurityCase.from_gadget(spec).to_dict()
+        document = ReproCase.from_gadget(spec).to_dict()
         document["policy"] = "paranoid"
         with pytest.raises(ValueError):
-            SecurityCase.from_dict(document)
+            ReproCase.from_dict(document)
 
     def test_load_error_names_the_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ValueError) as excinfo:
-            SecurityCase.load(path)
+            ReproCase.load(path)
         assert "broken.json" in str(excinfo.value)

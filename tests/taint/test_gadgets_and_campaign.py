@@ -16,8 +16,8 @@ from repro.taint import (
     derive_gadget,
     run_security_fuzz,
 )
-from repro.taint.case import SecurityCase
-from repro.taint.campaign import shrink_security_case
+from repro.verify.case import ReproCase
+from repro.verify.shrink import shrink_case
 from repro.taint.gadget import EXPECTED_KIND
 
 import random
@@ -27,7 +27,7 @@ class TestGroundTruth:
     def test_every_leaky_variant_is_detected_with_its_kind(self):
         for variant in LEAKY_VARIANTS:
             spec = build_gadget(1, 0, variant, random.Random("t"))
-            result = SecurityCase.from_gadget(spec).run()
+            result = ReproCase.from_gadget(spec).run()
             assert result.error is None, (variant, result.error)
             assert not result.secure, variant
             assert result.first_leak.kind == EXPECTED_KIND[variant]
@@ -35,7 +35,7 @@ class TestGroundTruth:
     def test_every_clean_variant_is_secure(self):
         for variant in CLEAN_VARIANTS:
             spec = build_gadget(1, 0, variant, random.Random("t"))
-            result = SecurityCase.from_gadget(spec).run()
+            result = ReproCase.from_gadget(spec).run()
             assert result.error is None, (variant, result.error)
             assert result.secure, (variant, result.describe())
 
@@ -44,7 +44,7 @@ class TestGroundTruth:
         # issues: the load is squashed at issue, never executed, so it
         # must not mint a taint source at all.
         spec = build_gadget(1, 0, "checked", random.Random("t"))
-        result = SecurityCase.from_gadget(spec).run()
+        result = ReproCase.from_gadget(spec).run()
         assert result.counters["sources"] == 0
 
 
@@ -80,7 +80,7 @@ class TestShrinkAndReplay:
 
             # Round-trip through the saved JSON and re-run: the pinned
             # leak kind must reproduce from the file alone.
-            loaded = SecurityCase.load(finding.case_path)
+            loaded = ReproCase.load(finding.case_path)
             assert loaded.expected_kind == finding.spec.expected_kind
             replay = loaded.run()
             assert not replay.secure
@@ -95,16 +95,17 @@ class TestShrinkAndReplay:
 
         document = json.loads(Path(finding.case_path).read_text())
         assert document["schema"] == "repro-security-case/v1"
-        round_tripped = SecurityCase.from_dict(document)
-        assert round_tripped.vliw_text == SecurityCase.load(
+        round_tripped = ReproCase.from_dict(document)
+        assert round_tripped.program_text == ReproCase.load(
             finding.case_path
-        ).vliw_text
+        ).program_text
 
     def test_shrink_pins_the_leak_kind(self):
         spec = build_gadget(2, 0, "store", random.Random("s"))
-        case = SecurityCase.from_gadget(spec)
-        shrunk, attempts, accepted = shrink_security_case(case, "memory")
+        case = ReproCase.from_gadget(spec)
+        shrink = shrink_case(case, category="memory")
+        shrunk, attempts = shrink.case, shrink.attempts
         assert attempts > 0
-        assert shrunk.bundle_count() <= case.bundle_count()
+        assert shrunk.size() <= case.size()
         result = shrunk.run()
         assert any(leak.kind == "memory" for leak in result.leaks)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.verify.case import ReproCase
-from repro.verify.tracediff import diff_trace_case
+from repro.verify.tracediff import run_diff_trace
 
 CASE_PATH = (
     Path(__file__).resolve().parents[2]
@@ -39,7 +39,7 @@ def test_case_file_is_loadable():
     case = ReproCase.load(CASE_PATH)
     assert case.model == "region_pred"
     assert case.backing, "case relies on the demand-paging backing store"
-    assert case.instruction_count() > 0
+    assert case.size() > 0
 
 
 def test_case_synthetic_1803_replays_equivalent():
@@ -49,6 +49,6 @@ def test_case_synthetic_1803_replays_equivalent():
 
 def test_case_synthetic_1803_diff_trace_clean():
     """The lockstep differ agrees: no divergent committed effect."""
-    result = diff_trace_case(ReproCase.load(CASE_PATH))
+    result = run_diff_trace(**ReproCase.load(CASE_PATH).inputs())
     assert result.equivalent
     assert result.divergence is None

@@ -15,7 +15,6 @@ import pytest
 from repro.machine.config import base_machine
 from repro.verify import (
     ReproCase,
-    diff_trace_case,
     merged_trace,
     run_diff_trace,
     validate_tracediff,
@@ -74,7 +73,7 @@ class TestPinpointing:
         # Campaign (seed 0, index 13) deterministically exposes the
         # inverted commit on a small program (see test_fuzz_and_shrink).
         case = build_case(derive_campaign(0, 13))
-        return diff_trace_case(case, machine_factory=BuggyMachine)
+        return run_diff_trace(**case.inputs(), machine_factory=BuggyMachine)
 
     def test_divergence_is_found(self, broken_result):
         assert not broken_result.equivalent
@@ -104,7 +103,7 @@ class TestPinpointing:
 
     def test_same_case_is_clean_on_correct_hardware(self):
         case = build_case(derive_campaign(0, 13))
-        result = diff_trace_case(case)
+        result = run_diff_trace(**case.inputs())
         assert result.equivalent, result.describe()
 
 
@@ -113,7 +112,7 @@ class TestReplayedCase:
         case = build_case(derive_campaign(0, 13))
         path = case.save(tmp_path / "case.json")
         replayed = ReproCase.load(path)
-        result = diff_trace_case(replayed, machine_factory=BuggyMachine)
+        result = run_diff_trace(**replayed.inputs(), machine_factory=BuggyMachine)
         assert not result.equivalent
         assert result.divergence is not None
 
