@@ -112,15 +112,6 @@ PROFILE_SCHEMA = "repro-profile/v1"
 VERIFY_SCHEMA = "repro-verify/v1"
 FUZZ_SCHEMA = "repro-fuzz/v1"
 
-#: CLI aliases for the executable predicating models.
-_PROFILE_MODELS = {
-    "trace_pred": "trace_pred",
-    "region_pred": "region_pred",
-    # The paper's "predicating" model is region predication.
-    "predicating": "region_pred",
-}
-
-
 class UsageError(Exception):
     """A bad command-line target: :func:`main` prints it and exits 2."""
 
@@ -296,7 +287,9 @@ def cmd_exec(args) -> int:
 
 def cmd_profile(args) -> int:
     program, train, memory = _load_program_and_memory(args.target, args.seed)
-    model = _PROFILE_MODELS[args.model]
+    from repro.verify.oracle import resolve_model
+
+    model = resolve_model(args.model)
     if args.resume and not args.checkpoint_dir:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
         return 2
@@ -389,7 +382,7 @@ def _verify_runs(args) -> list[dict]:
         else [args.model]
     )
     targets = list(KERNELS) if args.target == "all" else [args.target]
-    taint = {"policy": args.policy} if args.security else {}
+    taint = {"policy": args.policy or "committed"} if args.security else {}
     runs = []
     for target in targets:
         program, train, memory = _load_program_and_memory(target, args.seed)
@@ -433,6 +426,10 @@ def cmd_verify(args) -> int:
     """``repro verify``: the equivalence oracle, or with ``--security``
     (or a replayed security case) the taint twin."""
     case = None
+    if args.replay and args.policy is not None:
+        raise UsageError(
+            "--policy does not apply to --replay: the case carries its own"
+        )
     if args.replay:
         case = _load_case(args, "security" if args.security else None)
         security = case.check == "security"
@@ -902,6 +899,8 @@ def _add_max_cycles(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.verify.oracle import EXECUTABLE_MODELS, VERIFY_MODELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -942,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exec_parser.add_argument("target")
     exec_parser.add_argument(
-        "--model", default="region_pred", choices=["trace_pred", "region_pred"]
+        "--model", default="region_pred", choices=EXECUTABLE_MODELS
     )
     exec_parser.add_argument("--seed", type=int, default=2)
     exec_parser.add_argument(
@@ -960,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--model",
         default="region_pred",
-        choices=sorted(_PROFILE_MODELS),
+        choices=VERIFY_MODELS,
         help="executable model ('predicating' = the paper's region_pred)",
     )
     profile_parser.add_argument("--seed", type=int, default=2)
@@ -1083,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument(
         "--model",
         default="all",
-        choices=["all", "predicating", "region_pred", "trace_pred"],
+        choices=["all", *VERIFY_MODELS],
         help="executable model(s) to check (default: all)",
     )
     verify_parser.add_argument("--seed", type=int, default=2)
@@ -1113,13 +1112,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.add_argument(
         "--policy",
-        default="committed",
         choices=["committed", "strict"],
         help=(
             "taint leak policy for --security: 'committed' flags "
             "unconfirmed speculative data reaching architectural state; "
             "'strict' additionally flags tainted predicate writes "
-            "(default: committed)"
+            "(default: committed; a replayed case carries its own)"
         ),
     )
 
@@ -1138,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_trace_parser.add_argument(
         "--model",
         default="predicating",
-        choices=["predicating", "region_pred", "trace_pred"],
+        choices=VERIFY_MODELS,
         help="executable model to trace (default: predicating)",
     )
     diff_trace_parser.add_argument("--seed", type=int, default=2)

@@ -79,6 +79,8 @@ class DepGraph:
 # ----------------------------------------------------------------------
 # Address provenance for the alias heuristic.
 # ----------------------------------------------------------------------
+_EXIT_ROLES = (Role.EXIT, Role.BRANCH, Role.HALT)
+
 _ENTRY = "entry"
 _CONST = "const"
 _UNKNOWN = "unknown"
@@ -175,8 +177,19 @@ def build_dependence(
     register sets in the original CFG.
     """
     graph = DepGraph(region=region)
+    add = graph.add
     items = region.items
     tree = region.tree
+    # Each item's facts, read once: the passes below consult them for
+    # every pair of items.
+    instrs = [item.instr for item in items]
+    dests = [instr.dest_reg for instr in instrs]
+    latencies = [instr.latency for instr in instrs]
+    # Path relations are decided with the *home* predicate of the item's
+    # tree node, not the instruction's own predicate: condition-sets are
+    # re-predicated ``alw`` but still belong to their home path, and
+    # shared-join items carry the merged (shorter) predicate.
+    homes = [tree.nodes[item.node_id].pred for item in items]
 
     cond_set_of: dict[int, int] = {}
     for index, item in enumerate(items):
@@ -185,8 +198,15 @@ def build_dependence(
             assert dest is not None
             cond_set_of[dest] = index
 
+    def guard(terms, consumer: int, latency: int = 1) -> None:
+        """Edges from the condition-sets of *terms* to *consumer*."""
+        for cond, _ in terms:
+            if cond in cond_set_of:
+                add(cond_set_of[cond], consumer, latency)
+
     # ---- register dependences -----------------------------------------
-    # The backward scan distinguishes two producer relations:
+    # The backward scan over earlier defs distinguishes two producer
+    # relations:
     #   * pred(use) implies pred(def): the normal same-path dependence --
     #     the consumer may read the speculative state (``.s``);
     #   * otherwise (non-disjoint, non-implying): a *commit dependence* --
@@ -196,177 +216,132 @@ def build_dependence(
     #     condition of the producer's predicate to resolve.  The scan then
     #     continues, because defs on the other arm (and the dominating
     #     def) also reach the join.
-    # Path relations are decided with the *home* predicate of the item's
-    # tree node, not the instruction's own predicate: condition-sets are
-    # re-predicated ``alw`` but still belong to their home path, and
-    # shared-join items carry the merged (shorter) predicate.
-    def home_pred(index: int):
-        return tree.nodes[items[index].node_id].pred
-
-    reaching: dict[int, dict[int, int | None]] = {}
-    for j, item in enumerate(items):
-        instr = item.instr
-        reaching[j] = {}
-        pred_j = home_pred(j)
+    # A def also gets anti (WAR) edges from every earlier use and output
+    # (WAW) edges from every earlier def of its register.
+    reaching: list[dict[int, int | None]] = []
+    defs_of: dict[int, list[int]] = {}
+    uses_of: dict[int, list[int]] = {}
+    for j, instr in enumerate(instrs):
+        sources: dict[int, int | None] = {}
+        reaching.append(sources)
+        pred_j = homes[j]
         for number, reg in enumerate(instr.src_regs):
             if reg == ZERO_REG:
                 continue
             final_def: int | None = None
-            for i in range(j - 1, -1, -1):
-                other = items[i].instr
-                if other.dest_reg != reg:
-                    continue
-                other_pred = home_pred(i)
+            for i in reversed(defs_of.get(reg, ())):
+                other_pred = homes[i]
                 if other_pred.disjoint_with(pred_j):
                     continue
                 if pred_j.implies(other_pred):
                     final_def = i
                     break
                 # Commit dependence on a shared-join input.
-                graph.add(i, j, other.latency)
-                for cond, _ in other_pred.terms:
-                    if cond in cond_set_of:
-                        graph.add(cond_set_of[cond], j, 1)
-            reaching[j][number] = final_def
+                add(i, j, latencies[i])
+                guard(other_pred.terms, j)
+            sources[number] = final_def
             if final_def is None:
                 continue
-            producer = items[final_def].instr
-            graph.add(final_def, j, producer.latency)
-            if not producer.pred.is_always:
-                positions = item.instr.source_positions
+            add(final_def, j, latencies[final_def])
+            if not instrs[final_def].pred.is_always:
                 graph.shadow_positions.setdefault(j, set()).add(
-                    positions[number]
+                    instr.source_positions[number]
                 )
 
-    for j, item in enumerate(items):
-        dest = item.instr.dest_reg
-        if dest is None or dest == ZERO_REG:
-            continue
-        for i in range(j):
-            other = items[i].instr
-            # Anti dependence: earlier use, later def.
-            if dest in other.src_regs:
-                graph.add(i, j, 0)
-            # Output dependence: earlier def of the same register.
-            if other.dest_reg == dest:
-                graph.add(i, j, max(0, other.latency - item.instr.latency + 1))
-                if (
-                    single_shadow
-                    and not other.pred.is_always
-                    and other.pred != item.instr.pred
-                ):
+        dest = dests[j]
+        if dest is not None and dest != ZERO_REG:
+            for i in uses_of.get(dest, ()):
+                add(i, j, 0)
+            for i in defs_of.get(dest, ()):
+                add(i, j, max(0, latencies[i] - latencies[j] + 1))
+                other = instrs[i].pred
+                if single_shadow and not other.is_always and other != instr.pred:
                     # Single-shadow conflict: wait for the earlier value's
                     # resolution.
-                    for cond, _ in other.pred.terms:
-                        if cond in cond_set_of:
-                            graph.add(cond_set_of[cond], j, 1)
+                    guard(other.terms, j)
+        for reg in set(instr.src_regs):
+            uses_of.setdefault(reg, []).append(j)
+        if dest is not None:
+            defs_of.setdefault(dest, []).append(j)
 
     # ---- memory dependences --------------------------------------------
     address_cache: dict[tuple[int, int], tuple[str, int, int]] = {}
     memory_items = [
-        j
-        for j, item in enumerate(items)
-        if item.instr.opcode in ("ld", "st")
+        (j, instr.opcode, instr.pred, _address_of(items, j, address_cache))
+        for j, instr in enumerate(instrs)
+        if instr.opcode in ("ld", "st")
     ]
-    for position, j in enumerate(memory_items):
-        b = items[j].instr
-        addr_j = _address_of(items, j, address_cache)
-        for i in memory_items[:position]:
-            a = items[i].instr
-            if a.opcode == "ld" and b.opcode == "ld":
+    for position, (j, opcode_j, pred_j, addr_j) in enumerate(memory_items):
+        for i, opcode_i, pred_i, addr_i in memory_items[:position]:
+            if opcode_i == "ld" and opcode_j == "ld":
                 continue
-            if a.pred.disjoint_with(b.pred):
+            if pred_i.disjoint_with(pred_j) or not _may_alias(addr_i, addr_j):
                 continue
-            if not _may_alias(
-                _address_of(items, i, address_cache), addr_j
-            ):
-                continue
-            if a.opcode == "st" and b.opcode == "ld":
-                graph.add(i, j, 1)
-            elif a.opcode == "ld" and b.opcode == "st":
-                graph.add(i, j, 0)
-            else:
-                graph.add(i, j, 1)
+            add(i, j, 0 if opcode_i == "ld" else 1)
 
-    out_items = [
-        j for j, item in enumerate(items) if item.instr.opcode == "out"
-    ]
+    out_items = [j for j, instr in enumerate(instrs) if instr.opcode == "out"]
     for previous, current in zip(out_items, out_items[1:]):
-        graph.add(previous, current, 1)
+        add(previous, current, 1)
 
     # ---- control / guard edges -----------------------------------------
     for j, item in enumerate(items):
         instr = item.instr
-        if item.role in (Role.EXIT, Role.BRANCH, Role.HALT):
-            for cond, _ in instr.pred.terms:
-                if cond in cond_set_of:
-                    graph.add(cond_set_of[cond], j, 1)
+        if item.role in _EXIT_ROLES:
+            guard(instr.pred.terms, j)
             if item.role is Role.BRANCH:
                 for creg in instr.src_cregs:
                     if creg in cond_set_of:
-                        graph.add(cond_set_of[creg], j, 1)
+                        add(cond_set_of[creg], j, 1)
             continue
         if instr.pred.is_always:
             continue
         rule = policy.rule_for(instr)
-        terms = list(instr.pred.terms)  # sorted by index = shallow->deep
-        crossed = min(rule.depth, len(terms))
-        guarded = terms[: len(terms) - crossed]
-        crossed_terms = terms[len(terms) - crossed :]
-        for cond, _ in guarded:
-            if cond in cond_set_of:
-                graph.add(cond_set_of[cond], j, 1)
+        terms = instr.pred.terms  # sorted by index = shallow->deep
+        # The deepest ``rule.depth`` conditions may be crossed.
+        split = len(terms) - min(rule.depth, len(terms))
+        guard(terms[:split], j)
         if rule.mechanism is Mechanism.SQUASH:
-            for cond, _ in crossed_terms:
-                if cond in cond_set_of:
-                    graph.add(cond_set_of[cond], j, 0)
+            guard(terms[split:], j, 0)
         elif rule.mechanism is Mechanism.RENAME:
             # Not renamed by the transform (no free register): guard.
-            for cond, _ in crossed_terms:
-                if cond in cond_set_of:
-                    graph.add(cond_set_of[cond], j, 1)
+            guard(terms[split:], j)
 
     if policy.ordered_cond_sets:
+        resolving_role = (
+            Role.BRANCH if not policy.eliminate_branches else Role.COND_SET
+        )
         resolving = [
-            j
-            for j, item in enumerate(items)
-            if item.role is (Role.BRANCH if not policy.eliminate_branches
-                             else Role.COND_SET)
+            j for j, item in enumerate(items) if item.role is resolving_role
         ]
         for previous, current in zip(resolving, resolving[1:]):
-            graph.add(previous, current, 1)
+            add(previous, current, 1)
 
     # ---- exception taint ------------------------------------------------
     speculative_unsafe: set[int] = set()
-    for j, item in enumerate(items):
-        instr = item.instr
+    for j, instr in enumerate(instrs):
         if instr.is_unsafe and not instr.pred.is_always:
             rule = policy.rule_for(instr)
             if rule.depth > 0 and rule.mechanism is Mechanism.BUFFER:
                 speculative_unsafe.add(j)
 
-    taint: dict[int, set[int]] = {}
+    taint: list[set[int]] = []
     for j, item in enumerate(items):
         origins: set[int] = set()
-        for number, i in reaching.get(j, {}).items():
+        for i in reaching[j].values():
             if i is None:
                 continue
-            origins |= taint.get(i, set())
+            origins |= taint[i]
             if i in speculative_unsafe:
                 origins.add(i)
-        taint[j] = origins
+        taint.append(origins)
         if item.role is Role.COND_SET and origins:
             for origin in origins:
-                graph.add(origin, j, items[origin].instr.latency)
-                for cond, _ in items[origin].instr.pred.terms:
-                    if cond in cond_set_of:
-                        graph.add(cond_set_of[cond], j, 1)
+                add(origin, j, latencies[origin])
+                guard(instrs[origin].pred.terms, j)
 
     # ---- region-exit closure ---------------------------------------------
     exit_items = [
-        j
-        for j, item in enumerate(items)
-        if item.role in (Role.EXIT, Role.BRANCH, Role.HALT)
+        j for j, item in enumerate(items) if item.role in _EXIT_ROLES
     ]
     # With pure tail duplication exit predicates are pairwise disjoint, so
     # at most one can be true.  Equivalent-join sharing weakens this: a
@@ -376,10 +351,8 @@ def build_dependence(
     # every earlier non-disjoint exit has had its chance to transfer.
     for position, e in enumerate(exit_items):
         for earlier in exit_items[:position]:
-            if not items[earlier].instr.pred.disjoint_with(
-                items[e].instr.pred
-            ):
-                graph.add(earlier, e, 1)
+            if not instrs[earlier].pred.disjoint_with(instrs[e].pred):
+                add(earlier, e, 1)
 
     for e in exit_items:
         exit_item = items[e]
@@ -390,15 +363,12 @@ def build_dependence(
         exit_pred = exit_item.instr.pred
         exit_conditions = exit_pred.conditions
         for i in range(e):
-            other = items[i]
-            if other.role in (Role.EXIT, Role.BRANCH, Role.HALT):
-                continue
-            if home_pred(i).disjoint_with(exit_pred):
+            if items[i].role in _EXIT_ROLES or homes[i].disjoint_with(exit_pred):
                 continue
             contributes = False
-            dest = other.instr.dest_reg
+            dest = dests[i]
             if dest is not None and dest in live:
-                graph.add(i, e, other.instr.latency)
+                add(i, e, latencies[i])
                 contributes = True
             elif dest is not None:
                 # The register file at halt is architecturally observable,
@@ -406,10 +376,10 @@ def build_dependence(
                 # write on the exit's path may not sink below the exit even
                 # when its value is dead in the target (latency 0 -- the
                 # transfer/halt flush commits TRUE in-flight results).
-                graph.add(i, e, 0)
+                add(i, e, 0)
                 contributes = True
-            if other.instr.opcode in ("st", "out"):
-                graph.add(i, e, 0)
+            if instrs[i].opcode in ("st", "out"):
+                add(i, e, 0)
                 contributes = True
             if contributes:
                 # Closure: the contributor's own conditions must resolve
@@ -419,7 +389,9 @@ def build_dependence(
                 # is shorter than the arm producers' -- these edges are
                 # the commit dependences the paper attributes to region
                 # predicating.
-                for cond, _ in home_pred(i).terms:
-                    if cond not in exit_conditions and cond in cond_set_of:
-                        graph.add(cond_set_of[cond], e, 1)
+                guard(
+                    [term for term in homes[i].terms
+                     if term[0] not in exit_conditions],
+                    e,
+                )
     return graph

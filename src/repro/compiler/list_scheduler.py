@@ -36,32 +36,28 @@ class Schedule:
 
 
 def _priorities(
-    count: int, edges: list[tuple[int, int, int]], instrs: list[Instruction]
+    instrs: list[Instruction], outgoing: list[list[tuple[int, int]]]
 ) -> list[int]:
     """Longest path (by latency, min 1 per hop) from each node to a sink."""
-    outgoing: dict[int, list[tuple[int, int]]] = {i: [] for i in range(count)}
-    for producer, consumer, latency in edges:
-        outgoing[producer].append((consumer, max(latency, 1)))
+    count = len(instrs)
     height = [0] * count
     for i in range(count - 1, -1, -1):
         best = instrs[i].latency
         for consumer, latency in outgoing[i]:
-            if consumer > i:
-                best = max(best, latency + height[consumer])
+            best = max(best, max(latency, 1) + height[consumer])
         height[i] = best
     return height
 
 
 def list_schedule(graph: DepGraph, config: MachineConfig) -> Schedule:
     """Schedule *graph* onto *config*'s resources."""
-    items = graph.region.items
-    count = len(items)
-    instrs = [item.instr for item in items]
+    instrs = [item.instr for item in graph.region.items]
+    count = len(instrs)
 
-    incoming: dict[int, list[tuple[int, int]]] = {i: [] for i in range(count)}
-    outgoing: dict[int, list[tuple[int, int]]] = {i: [] for i in range(count)}
+    unscheduled_preds = [0] * count
+    outgoing: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for producer, consumer, latency in graph.edges:
-        if producer >= consumer and producer == consumer:
+        if producer == consumer:
             continue
         if consumer < producer:
             # A reversed edge would make the graph cyclic with program
@@ -70,17 +66,17 @@ def list_schedule(graph: DepGraph, config: MachineConfig) -> Schedule:
             raise ScheduleViolation(
                 f"backward dependence edge {producer}->{consumer}"
             )
-        incoming[consumer].append((producer, latency))
+        unscheduled_preds[consumer] += 1
         outgoing[producer].append((consumer, latency))
 
-    height = _priorities(count, graph.edges, instrs)
-    unscheduled_preds = {i: len(incoming[i]) for i in range(count)}
+    height = _priorities(instrs, outgoing)
+    fus = [instr.fu for instr in instrs]
+    limits: dict[FuClass, int | None] = {fu: config.fu_count(fu) for fu in set(fus)}
+    issue_width = config.issue_width
     earliest = [0] * count
     # Min-heap by (-priority, program order).
-    ready: list[tuple[int, int]] = []
-    for i in range(count):
-        if unscheduled_preds[i] == 0:
-            heapq.heappush(ready, (-height[i], i))
+    ready = [(-height[i], i) for i in range(count) if unscheduled_preds[i] == 0]
+    heapq.heapify(ready)
 
     cycle_of: dict[int, int] = {}
     bundles: list[list[int]] = []
@@ -88,34 +84,31 @@ def list_schedule(graph: DepGraph, config: MachineConfig) -> Schedule:
     deferred: list[tuple[int, int]] = []
     scheduled = 0
     while scheduled < count:
-        issue_used = 0
-        fu_used: dict[FuClass, int] = {}
+        fu_used = dict.fromkeys(limits, 0)
         bundle: list[int] = []
         deferred.clear()
         while ready:
-            priority, i = heapq.heappop(ready)
-            if earliest[i] > cycle:
-                deferred.append((priority, i))
-                continue
-            fu = instrs[i].fu
-            limit = config.fu_count(fu)
-            if issue_used >= config.issue_width or (
-                limit is not None and fu_used.get(fu, 0) >= limit
+            entry = heapq.heappop(ready)
+            i = entry[1]
+            fu = fus[i]
+            limit = limits[fu]
+            if (
+                earliest[i] > cycle
+                or len(bundle) >= issue_width
+                or (limit is not None and fu_used[fu] >= limit)
             ):
-                deferred.append((priority, i))
+                deferred.append(entry)
                 continue
             # Same-cycle (latency 0) dependences: the producer must already
             # be placed in this or an earlier cycle -- guaranteed because a
             # consumer only becomes ready once all producers are scheduled.
             bundle.append(i)
             cycle_of[i] = cycle
-            issue_used += 1
-            fu_used[fu] = fu_used.get(fu, 0) + 1
+            fu_used[fu] += 1
             scheduled += 1
             for consumer, latency in outgoing[i]:
-                earliest[consumer] = max(
-                    earliest[consumer], cycle + latency
-                )
+                if earliest[consumer] < cycle + latency:
+                    earliest[consumer] = cycle + latency
                 unscheduled_preds[consumer] -= 1
                 if unscheduled_preds[consumer] == 0:
                     heapq.heappush(ready, (-height[consumer], consumer))

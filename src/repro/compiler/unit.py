@@ -83,11 +83,17 @@ class CycleCount:
 
 
 class ScheduledCode:
-    """All units of a compiled program, keyed by header origin block."""
+    """All units of a compiled program, keyed by header origin block.
+
+    ``count_cycles`` walks the trace by table: the first visit of a unit
+    builds its walk table (:meth:`_walk_table`), after which each trace
+    block costs one dict lookup.
+    """
 
     def __init__(self, units: dict[int, ScheduledUnit], cfg: CFG):
         self.units = units
         self.cfg = cfg
+        self._walks: dict[int, tuple] = {}
 
     def count_cycles(
         self, trace: DynamicTrace, config: MachineConfig
@@ -96,29 +102,50 @@ class ScheduledCode:
         from repro.machine.btb import BranchTargetBuffer
 
         blocks = trace.blocks
+        length = len(blocks)
         btb = (
             BranchTargetBuffer(config.btb_entries)
             if config.btb_entries is not None
             else None
         )
+        walks = self._walks
         total = 0
         entries = 0
         position = 0
         previous_header: int | None = None
-        while position < len(blocks):
+        while position < length:
             header = blocks[position]
-            unit = self.units.get(header)
-            if unit is None:
-                raise TraceWalkError(f"no unit headed by block {header}")
+            walk = walks.get(header)
+            if walk is None:
+                unit = self.units.get(header)
+                if unit is None:
+                    raise TraceWalkError(f"no unit headed by block {header}")
+                walk = walks[header] = self._walk_table(unit)
             entries += 1
-            cycles, consumed = self._walk_unit(unit, blocks, position)
-            total += cycles
+            position += 1
+            node, halt, successors = walk
+            while halt is None:
+                if position == length:
+                    # Trace ended without halt (non-halting program tail).
+                    halt = self.units[header].length
+                    break
+                step = successors.get(blocks[position])
+                if step is None:
+                    raise TraceWalkError(
+                        f"unit B{header} node {node}: no child or exit "
+                        f"for successor {blocks[position]}"
+                    )
+                if step.__class__ is int:
+                    halt = step
+                    break
+                node, halt, successors = step
+                position += 1
+            total += halt
             if btb is not None and not btb.access((previous_header, header)):
                 total += config.taken_penalty_indirect
             else:
                 total += config.taken_penalty_btb
             previous_header = header
-            position += consumed
         return CycleCount(
             cycles=total,
             region_entries=entries,
@@ -126,48 +153,46 @@ class ScheduledCode:
             btb_misses=btb.misses if btb is not None else 0,
         )
 
-    def _walk_unit(
-        self, unit: ScheduledUnit, blocks: list[int], start: int
-    ) -> tuple[int, int]:
-        """Cycles spent in one visit of *unit*, and blocks consumed."""
+    def _walk_table(self, unit: ScheduledUnit) -> tuple:
+        """The root entry of *unit*'s walk table.
+
+        Every tree node has one entry ``(node_id, halt, successors)``.  A
+        node whose block halts has ``halt`` = its halt cycle + 1.  Any
+        other node maps each CFG successor of its block to the child
+        node's entry (the walk stays in the unit and consumes the block)
+        or to the departing exit's cycle + 1 (the visit ends there).  A
+        successor with neither is left out, so the walk raises
+        :class:`TraceWalkError` on it.
+        """
         tree = unit.tree
-        node = tree.nodes[tree.root]
-        consumed = 1
-        while True:
+        table = {
+            node_id: (node_id, None, {}) for node_id in tree.nodes
+        }
+        for node_id, node in tree.nodes.items():
             block = self.cfg.blocks[node.origin]
             terminator = block.terminator
-
             if terminator is not None and terminator.opcode == "halt":
-                return unit.halt_cycle[node.node_id] + 1, consumed
-
-            position = start + consumed
-            if position >= len(blocks):
-                # Trace ended without halt (non-halting program tail).
-                return unit.length, consumed
-
-            next_origin = blocks[position]
-            arm = self._arm_for(node, block, next_origin)
-            child_id = node.children.get(arm)
-            if child_id is not None and tree.nodes[child_id].origin == next_origin:
-                node = tree.nodes[child_id]
-                consumed += 1
+                table[node_id] = (node_id, unit.halt_cycle[node_id] + 1, {})
+        for node_id, node in tree.nodes.items():
+            _, halt, successors = table[node_id]
+            if halt is not None:
                 continue
-            key = (node.node_id, arm)
-            if key in unit.exit_cycle:
-                return unit.exit_cycle[key] + 1, consumed
-            raise TraceWalkError(
-                f"block {node.origin}: no child or exit for successor "
-                f"{next_origin} (arm {arm})"
-            )
-
-    def _arm_for(self, node, block, next_origin: int) -> bool | None:
-        """Which arm of *node* leads to *next_origin*."""
-        if node.cond_index is None:
-            return True if node.children else None
-        if block.taken_target == next_origin:
-            return node.taken_value
-        if block.fall_through == next_origin:
-            return not node.taken_value
-        raise TraceWalkError(
-            f"block {node.origin}: successor {next_origin} matches neither arm"
-        )
+            block = self.cfg.blocks[node.origin]
+            # Fall-through first: a branch whose two arms reach the same
+            # block resolves to the taken arm.
+            arms = []
+            if block.fall_through is not None:
+                arms.append((block.fall_through, False))
+            if block.taken_target is not None:
+                arms.append((block.taken_target, True))
+            for origin, taken in arms:
+                if node.cond_index is None:
+                    arm = True if node.children else None
+                else:
+                    arm = node.taken_value if taken else not node.taken_value
+                child_id = node.children.get(arm)
+                if child_id is not None and tree.nodes[child_id].origin == origin:
+                    successors[origin] = table[child_id]
+                elif (node_id, arm) in unit.exit_cycle:
+                    successors[origin] = unit.exit_cycle[(node_id, arm)] + 1
+        return table[tree.root]

@@ -64,6 +64,7 @@ from repro.machine.config import base_machine
 from repro.machine.vliw import VLIWMachine
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.verify.case import ReproCase
+from repro.verify.oracle import check_prepared, prepare
 from repro.workloads.synthetic import generate
 
 INJECTION_POINTS = ("regfile", "store_buffer", "ccr", "btb")
@@ -306,8 +307,10 @@ def run_fault_campaign(
         # Find a program whose clean run actually exposes the point (a
         # tiny program may never buffer speculative state); the probe
         # also yields the cycles at which a target exists, so the
-        # trigger is guaranteed to land on live state.
-        case = clean = None
+        # trigger is guaranteed to land on live state.  The injected run
+        # then replays the probe's compiled program (*front*).
+        clean = front = None
+        inputs: dict = {}
         program_seed = 0
         target_cycles: list[int] = []
         for _ in range(8):
@@ -317,7 +320,8 @@ def run_fault_campaign(
                 predictability=rng.choice((0.5, 0.6)),
                 size=rng.choice((3, 4)),
             )
-            case = ReproCase.from_synthetic(synthetic, model, config)
+            inputs = ReproCase.from_synthetic(synthetic, model, config).inputs()
+            front = prepare(**inputs)
             holder: dict[str, _ProbeMachine] = {}
 
             def probe_factory(*args, **kwargs):
@@ -325,7 +329,12 @@ def run_fault_campaign(
                 holder["machine"] = machine
                 return machine
 
-            clean = case.run(machine_factory=probe_factory)
+            clean = check_prepared(
+                inputs["program"],
+                front,
+                fault_handler=inputs["fault_handler"],
+                machine_factory=probe_factory,
+            )
             if not clean.equivalent:
                 raise RuntimeError(
                     "fault campaign requires an equivalent baseline run; "
@@ -362,7 +371,12 @@ def run_fault_campaign(
         aborted: str | None = None
         injected = None
         try:
-            injected = case.run(machine_factory=factory)
+            injected = check_prepared(
+                inputs["program"],
+                front,
+                fault_handler=inputs["fault_handler"],
+                machine_factory=factory,
+            )
         except AssertionError as error:
             # An internal invariant tripped: a structured abort, not a
             # silent wrong answer.

@@ -52,8 +52,14 @@ from repro.sim.memory import Memory
 #: "predicating" model is region predication.
 MODEL_ALIASES = {"predicating": "region_pred"}
 
-#: The model names ``repro verify`` / ``repro fuzz`` accept.
-VERIFY_MODELS = ("predicating", "region_pred", "trace_pred")
+#: The models that emit code the cycle-level machine can run.
+EXECUTABLE_MODELS = tuple(
+    sorted(name for name, policy in MODELS.items() if policy.executable)
+)
+
+#: The model names the oracle, ``repro verify``, ``diff-trace`` and
+#: ``profile`` accept: the aliases, then the executable models.
+VERIFY_MODELS = (*MODEL_ALIASES, *EXECUTABLE_MODELS)
 
 #: Divergence sites reported before the comparison stops enumerating.
 MAX_SITES = 8
@@ -311,6 +317,31 @@ def run_oracle(
         max_steps=max_steps,
         policy_overrides=policy_overrides,
     )
+    return check_prepared(
+        program,
+        front,
+        fault_handler=fault_handler,
+        max_steps=max_steps,
+        max_cycles=max_cycles,
+        machine_factory=machine_factory,
+        sink=sink,
+    )
+
+
+def check_prepared(
+    program: Program,
+    front: Prepared,
+    *,
+    fault_handler=None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    machine_factory=None,
+    sink: MetricsSink = NULL_SINK,
+) -> OracleResult:
+    """:func:`run_oracle` on *program* as *front* prepared it.  One
+    prepared program serves any number of machine runs: the fault
+    campaign runs its clean probe and its injected machine on one
+    compile."""
     factory = machine_factory if machine_factory is not None else VLIWMachine
 
     if sink.enabled:

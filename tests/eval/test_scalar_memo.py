@@ -5,53 +5,21 @@ workload's original program, and each of its unrolled copies, profiled
 on the training input and run on the evaluation input -- once each.
 These tests pin that work as exact call counts (deterministic, unlike
 wall time) and pin the memo's scope: per context, with factor 1 being
-the baseline entry itself.
+the baseline entry itself.  The ``calls`` counters and the shared
+``experiment_all_sweep`` live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-import sys
-
-import pytest
-
-import repro.compiler.pipeline as pipeline
-from repro.eval import EXPERIMENTS, ExperimentContext, ExperimentOptions
-from repro.sim.interpreter import Interpreter
+from repro.eval import ExperimentContext
 from repro.workloads import get_workload
 
 
-@pytest.fixture
-def calls(monkeypatch) -> dict[str, int]:
-    """Counts of ``Interpreter.run`` and ``compile_program`` calls, the
-    latter under every name a loaded module imported it as."""
-    counts = {"run": 0, "compile": 0}
-    run, compile_program = Interpreter.run, pipeline.compile_program
-
-    def counting_run(self):
-        counts["run"] += 1
-        return run(self)
-
-    def counting_compile(*args, **kwargs):
-        counts["compile"] += 1
-        return compile_program(*args, **kwargs)
-
-    monkeypatch.setattr(Interpreter, "run", counting_run)
-    for module in list(sys.modules.values()):
-        if getattr(module, "compile_program", None) is compile_program:
-            monkeypatch.setattr(module, "compile_program", counting_compile)
-    return counts
-
-
-def test_experiment_all_interprets_each_program_once(calls):
-    ctx = ExperimentContext(use_cache=False, jobs=1)
-    options = ExperimentOptions()
-    for driver in EXPERIMENTS.values():
-        driver(ctx, options)
-    assert ctx.runner.stats.errors == []
+def test_experiment_all_interprets_each_program_once(experiment_all_sweep):
+    assert experiment_all_sweep.errors == []
     # 6 workloads x (original + unrolled x2 + unrolled x4) x
     # (train + eval); the unroll cells used to re-run theirs per cell.
-    assert calls["run"] == 36
-    assert calls["compile"] == 246
+    assert experiment_all_sweep.counts == {"run": 36, "compile": 246}
 
 
 def test_factor_one_is_the_baseline_entry():

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.verify.faults as faults
+import repro.verify.oracle as oracle
 from repro.obs.metrics import CounterSink
 from repro.verify.faults import (
     ALLOWED_OUTCOMES,
@@ -76,6 +78,27 @@ class TestCampaign:
         applied = [r for r in report.results if r.outcome != "not_applied"]
         for result in applied:
             assert counters[f"faults.{result.point}.{result.outcome}"] >= 1
+
+
+    def test_a_trial_compiles_each_probed_program_once(self, monkeypatch):
+        """The injected run replays the probe's compiled program: a
+        trial compiles once per program it probes, not once per run."""
+        counts = {"compile": 0, "generate": 0}
+        compile_program, generate = oracle.compile_program, faults.generate
+
+        def counting_compile(*args, **kwargs):
+            counts["compile"] += 1
+            return compile_program(*args, **kwargs)
+
+        def counting_generate(*args, **kwargs):
+            counts["generate"] += 1
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "compile_program", counting_compile)
+        monkeypatch.setattr(faults, "generate", counting_generate)
+        (result,) = run_fault_campaign(1, seed=0, points=("ccr",)).results
+        assert result.outcome != "not_applied"
+        assert counts == {"compile": 1, "generate": 1}
 
 
 class TestFrozenCampaigns:
