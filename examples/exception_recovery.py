@@ -68,7 +68,6 @@ def run_case(title: str, memory: Memory, handler=None) -> None:
     scalar = run_scalar(program, cfg, memory.clone(), fault_handler=handler)
     predictor = StaticPredictor.from_trace(scalar.trace)
     compiled = compile_program(program, "region_pred", base_machine(), predictor)
-    assert compiled.vliw is not None
 
     machine = VLIWMachine(
         compiled.vliw, base_machine(), memory.clone(), fault_handler=handler

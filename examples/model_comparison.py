@@ -37,7 +37,6 @@ def main() -> None:
     quick = "--quick" in sys.argv
     ctx = ExperimentContext()
     options = ExperimentOptions(
-        run_machine=not quick,
         widths=(2, 4) if quick else (2, 4, 8),
         depths=(1, 4) if quick else (1, 2, 4, 8),
     )

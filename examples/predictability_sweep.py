@@ -41,7 +41,6 @@ def speedups_at(predictability: float) -> tuple[float, float]:
                 base_machine(),
                 train_memory=synthetic.make_memory(),
                 eval_memory=synthetic.make_memory(),
-                run_machine=False,
             )
             bucket.append(evaluation.speedup)
     return geomean(trace), geomean(region)

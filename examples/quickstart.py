@@ -65,7 +65,6 @@ def main() -> None:
     predictor = StaticPredictor.from_trace(scalar.trace)
 
     compiled = compile_program(program, "region_pred", config, predictor)
-    assert compiled.vliw is not None
     print("=== scheduled VLIW code (region predicating) ===")
     print(compiled.vliw.format())
 

@@ -7,8 +7,8 @@ Commands:
   scalar baseline and print its output and cycle count.
 * ``compile``    -- compile under a model and show the scheduled code
   and static statistics.
-* ``exec``       -- compile with a predicating model and execute the
-  result on the cycle-level VLIW machine (``--trace-out`` captures a
+* ``exec``       -- compile under a model and execute the result on the
+  cycle-level VLIW machine (``--trace-out`` captures a
   Perfetto cycle trace).
 * ``profile``    -- instrumented machine run: counters, occupancy
   histograms, the "top regions by cycles" attribution table, and
@@ -20,7 +20,7 @@ Commands:
   ``--quiet`` to suppress the stderr telemetry summary, and crash
   tolerance knobs (``--cell-timeout``, ``--retries``, ``--fail-fast``).
 * ``verify``     -- differential check: compile a workload (or ``all``
-  of them) under a predicating model, run it on the cycle-level
+  of them) under every model (or one), run it on the cycle-level
   machine, and compare every architectural observable against the
   scalar interpreter (``--security``: taint-check instead;
   ``--replay CASE.json`` re-runs a frozen case of either kind through
@@ -90,6 +90,7 @@ from repro.ckpt import (
 )
 from repro.ckpt.engine import read_json
 from repro.compiler import MODELS, compile_program, evaluate_model
+from repro.compiler.models import MODEL_NAMES, resolve_model
 from repro.eval import EXPERIMENTS, ExperimentContext, ExperimentOptions
 from repro.eval.artifact import dumps_artifact, make_artifact, write_artifact
 from repro.ir import build_cfg
@@ -97,6 +98,7 @@ from repro.isa import parse_program
 from repro.machine.config import base_machine
 from repro.machine.scalar import run_scalar
 from repro.obs import CounterSink, CycleTraceRecorder, attribute_regions
+from repro.obs.metrics import NULL_SINK
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import NULL_RUN_LOG, JsonlRunLog
 from repro.sim.memory import Memory
@@ -167,7 +169,7 @@ def cmd_compile(args) -> int:
     bundles = sum(unit.length for unit in compiled.code.units.values())
     print(f"ops      : {total_ops} scheduled / {len(program)} source")
     print(f"bundles  : {bundles}")
-    if compiled.vliw is not None and args.dump:
+    if args.dump:
         print()
         print(compiled.vliw.format())
     return 0
@@ -241,38 +243,41 @@ def _report_shutdown(shutdown: ShutdownRequested, resume_hint: str) -> int:
     return shutdown.exit_code
 
 
-def cmd_exec(args) -> int:
+def _machine_run(args, sink=NULL_SINK):
+    """``exec``/``profile``: evaluate ``args.model`` on ``args.target``
+    with a checkpointed machine run.  Returns ``(evaluation, tracer)``,
+    or the exit code of a graceful shutdown."""
     program, train, memory = _load_program_and_memory(args.target, args.seed)
-    if args.model != "scalar" and not MODELS[args.model].executable:
-        print(
-            f"model {args.model!r} is evaluated analytically; "
-            "use trace_pred or region_pred for machine execution",
-            file=sys.stderr,
-        )
-        return 2
     if args.resume and not args.checkpoint_dir:
-        print("--resume needs --checkpoint-dir", file=sys.stderr)
-        return 2
+        raise UsageError("--resume needs --checkpoint-dir")
     tracer = CycleTraceRecorder(program.name) if args.trace_out else None
     with SignalSupervisor() as supervisor:
         try:
             evaluation = evaluate_model(
                 program,
-                args.model,
+                resolve_model(args.model),
                 base_machine(),
                 train_memory=train,
                 eval_memory=memory,
+                sink=sink,
                 tracer=tracer,
                 machine_runner=_checkpointed_machine_runner(args, supervisor),
             )
         except ShutdownRequested as shutdown:
             return _report_shutdown(
                 shutdown,
-                f"repro exec {args.target} --checkpoint-dir "
+                f"repro {args.command} {args.target} --checkpoint-dir "
                 f"{args.checkpoint_dir or 'DIR'} --resume",
             )
+    return evaluation, tracer
+
+
+def cmd_exec(args) -> int:
+    run = _machine_run(args)
+    if isinstance(run, int):
+        return run
+    evaluation, tracer = run
     machine = evaluation.machine
-    assert machine is not None
     print(f"output        : {machine.output}")
     print(f"scalar cycles : {evaluation.scalar.cycles}")
     print(f"VLIW cycles   : {machine.cycles}")
@@ -286,35 +291,12 @@ def cmd_exec(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    program, train, memory = _load_program_and_memory(args.target, args.seed)
-    from repro.verify.oracle import resolve_model
-
-    model = resolve_model(args.model)
-    if args.resume and not args.checkpoint_dir:
-        print("--resume needs --checkpoint-dir", file=sys.stderr)
-        return 2
     sink = CounterSink()
-    tracer = CycleTraceRecorder(program.name) if args.trace_out else None
-    with SignalSupervisor() as supervisor:
-        try:
-            evaluation = evaluate_model(
-                program,
-                model,
-                base_machine(),
-                train_memory=train,
-                eval_memory=memory,
-                sink=sink,
-                tracer=tracer,
-                machine_runner=_checkpointed_machine_runner(args, supervisor),
-            )
-        except ShutdownRequested as shutdown:
-            return _report_shutdown(
-                shutdown,
-                f"repro profile {args.target} --checkpoint-dir "
-                f"{args.checkpoint_dir or 'DIR'} --resume",
-            )
+    run = _machine_run(args, sink)
+    if isinstance(run, int):
+        return run
+    evaluation, tracer = run
     machine = evaluation.machine
-    assert machine is not None
     report = attribute_regions(sink)
 
     print(f"workload      : {args.target}")
@@ -371,16 +353,10 @@ def _write_json(document: dict, target: str, tag: str) -> None:
 def _verify_runs(args) -> list[dict]:
     """The check inputs ``verify`` runs on its target.
 
-    ``all`` targets every workload, and ``--model all`` every
-    executable model once ("predicating" is an alias for region_pred).
+    ``all`` targets every workload, and ``--model all`` (the default)
+    every model.
     """
-    from repro.verify import VERIFY_MODELS, resolve_model
-
-    models = (
-        list(dict.fromkeys(resolve_model(m) for m in VERIFY_MODELS))
-        if args.model == "all"
-        else [args.model]
-    )
+    models = list(MODELS) if args.model in (None, "all") else [args.model]
     targets = list(KERNELS) if args.target == "all" else [args.target]
     taint = {"policy": args.policy or "committed"} if args.security else {}
     runs = []
@@ -426,10 +402,12 @@ def cmd_verify(args) -> int:
     """``repro verify``: the equivalence oracle, or with ``--security``
     (or a replayed security case) the taint twin."""
     case = None
-    if args.replay and args.policy is not None:
-        raise UsageError(
-            "--policy does not apply to --replay: the case carries its own"
-        )
+    for option in ("model", "policy"):
+        if args.replay and getattr(args, option) is not None:
+            raise UsageError(
+                f"--{option} does not apply to --replay: the case carries "
+                "its own"
+            )
     if args.replay:
         case = _load_case(args, "security" if args.security else None)
         security = case.check == "security"
@@ -899,8 +877,6 @@ def _add_max_cycles(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.verify.oracle import EXECUTABLE_MODELS, VERIFY_MODELS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -941,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exec_parser.add_argument("target")
     exec_parser.add_argument(
-        "--model", default="region_pred", choices=EXECUTABLE_MODELS
+        "--model", default="region_pred", choices=MODEL_NAMES
     )
     exec_parser.add_argument("--seed", type=int, default=2)
     exec_parser.add_argument(
@@ -959,8 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--model",
         default="region_pred",
-        choices=VERIFY_MODELS,
-        help="executable model ('predicating' = the paper's region_pred)",
+        choices=MODEL_NAMES,
+        help="model to run ('predicating' = the paper's region_pred)",
     )
     profile_parser.add_argument("--seed", type=int, default=2)
     profile_parser.add_argument(
@@ -1081,9 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.add_argument(
         "--model",
-        default="all",
-        choices=["all", *VERIFY_MODELS],
-        help="executable model(s) to check (default: all)",
+        choices=["all", *MODEL_NAMES],
+        help="model(s) to check (default: all; not with --replay)",
     )
     verify_parser.add_argument("--seed", type=int, default=2)
     verify_parser.add_argument(
@@ -1136,8 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff_trace_parser.add_argument(
         "--model",
         default="predicating",
-        choices=VERIFY_MODELS,
-        help="executable model to trace (default: predicating)",
+        choices=MODEL_NAMES,
+        help="model to trace (default: predicating)",
     )
     diff_trace_parser.add_argument("--seed", type=int, default=2)
     diff_trace_parser.add_argument(

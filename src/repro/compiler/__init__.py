@@ -20,10 +20,9 @@ windowed scheduler:
 5. a resource-constrained list scheduler packs bundles
    (:mod:`repro.compiler.list_scheduler`);
 6. scheduled units are counted against the scalar dynamic trace
-   (:mod:`repro.compiler.unit`), and predicating models additionally emit
-   a real :class:`~repro.machine.program.VLIWProgram`
-   (:mod:`repro.compiler.vliw_codegen`) executed on the cycle-level
-   machine.
+   (:mod:`repro.compiler.unit`), and on request emit a real
+   :class:`~repro.machine.program.VLIWProgram`
+   (:mod:`repro.compiler.vliw_codegen`) for the cycle-level machine.
 
 :mod:`repro.compiler.models` holds the eight concrete policies;
 :mod:`repro.compiler.pipeline` ties everything together.

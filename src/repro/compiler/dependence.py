@@ -190,6 +190,9 @@ def build_dependence(
     # re-predicated ``alw`` but still belong to their home path, and
     # shared-join items carry the merged (shorter) predicate.
     homes = [tree.nodes[item.node_id].pred for item in items]
+    # Only a buffered result can be pending in the shadow state, so a
+    # model that buffers nothing marks no ``.s`` reader.
+    buffers = policy.crosses_by(Mechanism.BUFFER)
 
     cond_set_of: dict[int, int] = {}
     for index, item in enumerate(items):
@@ -243,7 +246,7 @@ def build_dependence(
             if final_def is None:
                 continue
             add(final_def, j, latencies[final_def])
-            if not instrs[final_def].pred.is_always:
+            if buffers and not instrs[final_def].pred.is_always:
                 graph.shadow_positions.setdefault(j, set()).add(
                     instr.source_positions[number]
                 )

@@ -100,7 +100,6 @@ TRACE_PRED = ModelPolicy(
     unsafe=_BUFFER_K,
     load=_BUFFER_K,
     store=_BUFFER_K,
-    executable=True,
 )
 
 REGION_PRED = ModelPolicy(
@@ -112,7 +111,6 @@ REGION_PRED = ModelPolicy(
     unsafe=_BUFFER_K,
     load=_BUFFER_K,
     store=_BUFFER_K,
-    executable=True,
 )
 
 MODELS: dict[str, ModelPolicy] = {
@@ -127,6 +125,23 @@ MODELS: dict[str, ModelPolicy] = {
         REGION_PRED,
     )
 }
+
+
+#: Other model names: the paper's "predicating" model is region_pred.
+MODEL_ALIASES = {"predicating": "region_pred"}
+
+#: Every name a command or a serve job accepts: aliases, then models.
+MODEL_NAMES = (*MODEL_ALIASES, *MODELS)
+
+
+def resolve_model(model: str) -> str:
+    """The model *model* names (accepts aliases)."""
+    name = MODEL_ALIASES.get(model, model)
+    if name not in MODELS:
+        raise ValueError(
+            f"unknown model {model!r}; choose from {sorted(MODEL_NAMES)}"
+        )
+    return name
 
 
 def get_policy(name: str) -> ModelPolicy:

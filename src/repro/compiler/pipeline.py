@@ -2,8 +2,9 @@
 
 ``compile_program`` turns a scalar program into scheduled units under a
 model policy (region formation -> predication -> renaming -> dependence ->
-list scheduling), and -- for the predicating models -- emits executable
-VLIW code.
+list scheduling).  The units emit VLIW code for the cycle-level machine
+the first time a caller asks for it (:attr:`CompiledProgram.vliw`), so a
+caller that only counts cycles never pays for emission.
 
 ``evaluate_model`` reproduces the paper's methodology end to end for one
 (program, model, machine) triple:
@@ -12,17 +13,18 @@ VLIW code.
 2. compile with the profile-driven static predictor;
 3. run the scalar program on the *evaluation* input for the baseline
    cycle count and the evaluation trace;
-4. count the scheduled code's cycles against the evaluation trace
-   (and, for executable models, actually run the code on the cycle-level
-   machine, checking architectural equivalence with the scalar run).
+4. count the scheduled code's cycles against the evaluation trace, and
+   run the code on the cycle-level machine, checking architectural
+   equivalence with the scalar run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.dependence import DepGraph, build_dependence
+from repro.compiler.dependence import build_dependence
 from repro.compiler.list_scheduler import list_schedule
 from repro.compiler.models import get_policy
 from repro.compiler.policy import Mechanism, ModelPolicy
@@ -52,7 +54,22 @@ class CompiledProgram:
     policy: ModelPolicy
     cfg: CFG
     code: ScheduledCode
-    vliw: VLIWProgram | None
+
+    @cached_property
+    def vliw(self) -> VLIWProgram:
+        """The units' VLIW code, emitted on first access."""
+        return emit_vliw(
+            self.code.units,
+            self.cfg.entry,
+            name=f"{self.cfg.name}:{self.policy.name}",
+        )
+
+    @property
+    def clobbered(self) -> frozenset[int]:
+        """Registers whose final value renaming may change."""
+        return frozenset().union(
+            *(unit.region.clobbered for unit in self.code.units.values())
+        )
 
     def unit_count(self) -> int:
         return len(self.code.units)
@@ -83,14 +100,10 @@ def compile_program(
     min_arm_probability = max(
         policy.min_arm_probability, 1.0 / config.issue_width
     )
-    uses_renaming = any(
-        rule.mechanism is Mechanism.RENAME and rule.depth > 0
-        for rule in (policy.safe, policy.unsafe, policy.load, policy.store)
-    )
+    uses_renaming = policy.crosses_by(Mechanism.RENAME)
     single_shadow = config.shadow_capacity == 1
 
     units: dict[int, ScheduledUnit] = {}
-    graphs: dict[int, DepGraph] = {}
     worklist = [cfg.entry]
     while worklist:
         header = worklist.pop()
@@ -117,17 +130,12 @@ def compile_program(
             region, policy, exit_live_in, single_shadow=single_shadow
         )
         schedule = list_schedule(graph, config)
-        units[header] = make_unit(tree, region, schedule)
-        graphs[header] = graph
+        units[header] = make_unit(
+            tree, region, schedule, graph.shadow_positions
+        )
         worklist.extend(tree.exit_targets())
 
-    code = ScheduledCode(units, cfg)
-    vliw = (
-        emit_vliw(units, graphs, cfg.entry, name=f"{program.name}:{policy.name}")
-        if policy.executable
-        else None
-    )
-    return CompiledProgram(policy=policy, cfg=cfg, code=code, vliw=vliw)
+    return CompiledProgram(policy=policy, cfg=cfg, code=ScheduledCode(units, cfg))
 
 
 @dataclass
@@ -137,15 +145,13 @@ class ModelEvaluation:
     model: str
     scalar: ScalarRun
     analytic: CycleCount
-    machine: VLIWResult | None
+    machine: VLIWResult
     compiled: CompiledProgram
 
     @property
     def cycles(self) -> int:
-        """The headline cycle count (machine-measured when available)."""
-        if self.machine is not None:
-            return self.machine.cycles
-        return self.analytic.cycles
+        """The headline cycle count, measured on the machine."""
+        return self.machine.cycles
 
     @property
     def speedup(self) -> float:
@@ -160,7 +166,6 @@ def evaluate_model(
     train_memory: Memory,
     eval_memory: Memory,
     fault_handler=None,
-    run_machine: bool | None = None,
     max_steps: int | None = None,
     sink: MetricsSink = NULL_SINK,
     tracer: CycleTraceRecorder | None = None,
@@ -194,29 +199,24 @@ def evaluate_model(
     )
     analytic = compiled.code.count_cycles(evaluation.trace, config)
 
-    machine_result: VLIWResult | None = None
-    should_run = (
-        compiled.vliw is not None if run_machine is None else run_machine
+    machine = VLIWMachine(
+        compiled.vliw,
+        config,
+        eval_memory.clone(),
+        fault_handler=fault_handler,
+        sink=sink,
+        tracer=tracer,
     )
-    if should_run and compiled.vliw is not None:
-        machine = VLIWMachine(
-            compiled.vliw,
-            config,
-            eval_memory.clone(),
-            fault_handler=fault_handler,
-            sink=sink,
-            tracer=tracer,
+    machine_result = (
+        machine.run() if machine_runner is None else machine_runner(machine)
+    )
+    if machine_result.architectural_output != evaluation.output:
+        raise AssertionError(
+            f"{program.name}/{compiled.policy.name}: scheduled code "
+            f"diverged from scalar semantics: "
+            f"{machine_result.architectural_output[:8]} != "
+            f"{evaluation.output[:8]}"
         )
-        machine_result = (
-            machine.run() if machine_runner is None else machine_runner(machine)
-        )
-        if machine_result.architectural_output != evaluation.output:
-            raise AssertionError(
-                f"{program.name}/{compiled.policy.name}: scheduled code "
-                f"diverged from scalar semantics: "
-                f"{machine_result.architectural_output[:8]} != "
-                f"{evaluation.output[:8]}"
-            )
     return ModelEvaluation(
         model=compiled.policy.name,
         scalar=evaluation,

@@ -67,10 +67,16 @@ class ModelPolicy:
     max_conditions: int = 4  # CCR entries available to a unit (K)
     ordered_cond_sets: bool = False  # counter-predicate restriction
     min_arm_probability: float = 0.25  # region growth: skip rarer arms
-    executable: bool = False  # emits real VLIW code for the machine
     # Footnote-2 option: share join blocks equivalent to their branch
     # instead of duplicating them (introduces commit dependences).
     share_equivalent_joins: bool = False
+
+    def crosses_by(self, mechanism: Mechanism) -> bool:
+        """Whether some operation class crosses a condition by *mechanism*."""
+        return any(
+            rule.mechanism is mechanism and rule.depth > 0
+            for rule in (self.safe, self.unsafe, self.load, self.store)
+        )
 
     def rule_for(self, instruction) -> CrossingRule:
         """The crossing rule governing *instruction*."""
@@ -104,6 +110,5 @@ class ModelPolicy:
             max_conditions=max_conditions,
             ordered_cond_sets=self.ordered_cond_sets,
             min_arm_probability=self.min_arm_probability,
-            executable=self.executable,
             share_equivalent_joins=self.share_equivalent_joins,
         )

@@ -61,6 +61,8 @@ class LinearRegion:
     tree: RegionTree
     items: list[LinearInstr] = field(default_factory=list)
     conditions_used: int = 0
+    # Registers renaming clobbers (:mod:`repro.compiler.rename`).
+    clobbered: frozenset[int] = frozenset()
 
     def instructions(self) -> list[Instruction]:
         return [item.instr for item in self.items]

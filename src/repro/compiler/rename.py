@@ -27,6 +27,10 @@ pay.
 Renaming stops when the dead-register pool is exhausted: that is the
 register-pressure constraint the paper identifies as the cost of
 compiler-only speculation.
+
+``region.clobbered`` records the registers left holding values the
+scalar program never put there -- each fresh destination, and each home
+register whose copy was deleted -- which the oracle does not compare.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ def apply_renaming(
         fresh = pool.pop()
         home_dest = instr.dest_reg
         home_pred = instr.pred
+        region.clobbered |= {fresh}
 
         hoisted = instr.rename_reg(home_dest, fresh, dest=True, srcs=False)
         hoisted = hoisted.replace(pred=ALWAYS)
@@ -150,5 +155,6 @@ def apply_renaming(
         )
         if not live_anywhere:
             items.pop(index + 1)
+            region.clobbered |= {home_dest}
         index += 1
     return region

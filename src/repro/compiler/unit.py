@@ -33,6 +33,8 @@ class ScheduledUnit:
     tree: RegionTree
     region: LinearRegion
     schedule: Schedule
+    # Item index -> its ``.s`` operand positions (for code emission).
+    shadow_positions: dict[int, set[int]] = field(default_factory=dict)
     # (node_id, arm_value) -> issue cycle of the departing control point.
     exit_cycle: dict[tuple[int, bool | None], int] = field(default_factory=dict)
     halt_cycle: dict[int, int] = field(default_factory=dict)  # node_id -> cycle
@@ -47,10 +49,13 @@ class ScheduledUnit:
 
 
 def make_unit(
-    tree: RegionTree, region: LinearRegion, schedule: Schedule
+    tree: RegionTree,
+    region: LinearRegion,
+    schedule: Schedule,
+    shadow_positions: dict[int, set[int]],
 ) -> ScheduledUnit:
     """Assemble a unit, extracting exit/halt cycles from the schedule."""
-    unit = ScheduledUnit(tree=tree, region=region, schedule=schedule)
+    unit = ScheduledUnit(tree, region, schedule, shadow_positions)
     for index, item in enumerate(region.items):
         cycle = schedule.cycle_of[index]
         if item.role in (Role.EXIT, Role.BRANCH):

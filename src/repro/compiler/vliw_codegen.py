@@ -1,26 +1,42 @@
-"""Emission of executable VLIW code from scheduled predicating regions.
+"""Emission of VLIW code from scheduled regions, for every model.
 
-Only the predicating models emit machine code (the restricted baselines
-are evaluated trace-analytically, as in the paper); the emitted program is
-run on :class:`~repro.machine.vliw.VLIWMachine` both to validate that
-scheduled code computes exactly what the scalar program computes and to
-cross-check the analytic cycle counts.
+The emitted program runs on :class:`~repro.machine.vliw.VLIWMachine`,
+which validates that the schedule computes what the scalar program
+computes, in the cycles the trace-driven counter charges.
 
-Shadow-source markers (``.s``) come from the dependence builder: an
-operand reads the speculative state iff its reaching definition inside the
-region is itself predicated.
+Shadow-source markers (``.s``) come from the dependence builder.  A
+retained branch (the restricted models keep theirs) is lowered to the
+one op that leaves through its exit arms -- ``br``/``brf`` for one arm,
+``br2`` for both -- so it issues in the one slot its schedule item has.
 """
 
 from __future__ import annotations
 
-from repro.compiler.dependence import DepGraph
+from repro.compiler.predication import Role
+from repro.compiler.regiontree import TreeNode
 from repro.compiler.unit import ScheduledUnit
+from repro.isa.instruction import Instruction
+from repro.isa.operands import Label
 from repro.machine.program import Bundle, RegionSpan, VLIWProgram
+
+
+def _lower_branch(instr: Instruction, node: TreeNode) -> Instruction:
+    """Retained branch *instr* of *node*, targeting its exits' regions."""
+    creg = instr.operands[0]
+    target = {
+        exit_.pred.required(node.cond_index): Label(f"B{exit_.target_origin}")
+        for exit_ in node.exits
+    }
+    if len(target) == 2:
+        operands = (creg, target[True], target[False])
+        return Instruction("br2", operands, pred=instr.pred, uid=instr.uid)
+    ((arm, label),) = target.items()
+    opcode = "br" if arm else "brf"
+    return Instruction(opcode, (creg, label), pred=instr.pred, uid=instr.uid)
 
 
 def emit_vliw(
     units: dict[int, ScheduledUnit],
-    graphs: dict[int, DepGraph],
     entry: int,
     name: str = "vliw",
 ) -> VLIWProgram:
@@ -33,7 +49,7 @@ def emit_vliw(
 
     for origin in order:
         unit = units[origin]
-        graph = graphs[origin]
+        nodes = unit.tree.nodes
         start = len(bundles)
         labels[f"B{origin}"] = start
         for cycle_items in unit.schedule.bundles:
@@ -42,11 +58,13 @@ def emit_vliw(
             for index in sorted(cycle_items):
                 item = unit.region.items[index]
                 instr = item.instr
-                shadow = graph.shadow_positions.get(index)
+                if item.role is Role.BRANCH:
+                    instr = _lower_branch(instr, nodes[item.node_id])
+                shadow = unit.shadow_positions.get(index)
                 if shadow:
                     instr = instr.replace(shadow=frozenset(shadow))
                 ops.append(instr)
-                origins.append(unit.tree.nodes[item.node_id].origin)
+                origins.append(nodes[item.node_id].origin)
             bundles.append(Bundle(tuple(ops)))
             provenance.append(tuple(origins))
         if len(bundles) == start:

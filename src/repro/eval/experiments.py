@@ -34,7 +34,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from repro.compiler.models import MODELS, REGION_PRED, TRACE_PRED
+from repro.compiler.models import REGION_PRED, TRACE_PRED
 from repro.eval import hwcost as hwcost_model
 from repro.eval.report import render_bars, render_table
 from repro.eval.runner import (
@@ -98,7 +98,6 @@ class ExperimentOptions:
     """
 
     config: MachineConfig | None = None  # None = the paper's base machine
-    run_machine: bool = True  # Figure 7: validate on the VLIW machine
     max_run: int = 8  # Table 3 branch-run depth
     widths: tuple[int, ...] = (2, 4, 8)  # Figure 8 issue widths
     depths: tuple[int, ...] = (1, 2, 4, 8)  # Figure 8 speculation depths
@@ -261,16 +260,10 @@ def _speedup_figure(
     title: str,
     models: list[str],
     config: MachineConfig,
-    *,
-    run_machine: bool = False,
 ) -> SpeedupFigure:
     specs = [
         CellSpec(
-            kind="speedup",
-            workload=workload.name,
-            model=model,
-            config=config,
-            run_machine=run_machine and MODELS[model].executable,
+            kind="speedup", workload=workload.name, model=model, config=config
         )
         for workload in ctx.workloads
         for model in models
@@ -308,7 +301,6 @@ def run_fig7(
         "Figure 7: predicating vs conventional speculative execution",
         FIG7_MODELS,
         options.machine(),
-        run_machine=options.run_machine,
     )
 
 

@@ -48,7 +48,6 @@ from repro.isa.printer import format_program
 from repro.isa.program import Program
 from repro.machine.config import MachineConfig
 from repro.machine.scalar import ScalarRun, run_scalar
-from repro.machine.vliw import VLIWMachine
 from repro.obs.metrics import NULL_SINK, MetricsSink
 from repro.obs.runlog import NULL_RUN_LOG, RunLog
 from repro.serve.backoff import backoff_delay
@@ -73,7 +72,7 @@ class CellSpec:
     * ``accuracy`` -- Table 3 successive-branch prediction accuracy
       (``extras``: ``max_run``);
     * ``speedup`` -- speedup of ``model``/``policy`` over the scalar
-      baseline on ``config`` (optionally validated on the VLIW machine);
+      baseline on ``config``;
     * ``compile_stats`` -- analytic speedup plus static code expansion;
     * ``profile`` -- region predicating with a cross- or self-trained
       predictor (``extras``: ``mode``);
@@ -88,7 +87,6 @@ class CellSpec:
     model: str | None = None
     policy: ModelPolicy | None = None
     config: MachineConfig | None = None
-    run_machine: bool = False
     extras: tuple[tuple[str, object], ...] = ()
 
     def extra(self, key: str, default=None):
@@ -164,7 +162,6 @@ def cell_cache_key(spec: CellSpec, workload: Workload | None) -> str:
         "version": CACHE_VERSION,
         "source": source_digest(),
         "kind": spec.kind,
-        "run_machine": spec.run_machine,
         "policy": _canonical(spec.resolved_policy()),
         "config": _canonical(spec.config),
         "extras": _canonical(dict(spec.extras)),
@@ -276,52 +273,32 @@ class ExperimentContext:
         workload: Workload,
         model: str | ModelPolicy,
         config: MachineConfig,
-        *,
-        run_machine: bool = False,
     ) -> float:
         """Speedup of *model* over the scalar baseline on *workload*."""
-        return self.measure(
-            workload, model, config, run_machine=run_machine
-        )["speedup"]
+        return self.measure(workload, model, config)["speedup"]
 
     def measure(
         self,
         workload: Workload,
         model: str | ModelPolicy,
         config: MachineConfig,
-        *,
-        run_machine: bool = False,
     ) -> dict:
         """Speedup plus BTB statistics of *model* on *workload*.
 
-        Under the paper's optimistic infinite-BTB assumption
-        (``config.btb_entries is None``) the BTB counts are zero; with a
-        finite BTB they come from the cycle-level machine when it ran,
-        otherwise from the trace-driven analytic counter.
+        Both come from the trace-driven counter; the tests check that
+        the cycle-level machine takes the same cycles on every model's
+        code.  Under the paper's optimistic infinite-BTB assumption
+        (``config.btb_entries is None``) the BTB counts are zero.
         """
         baseline = self.baseline(workload)
         compiled = compile_program(
             workload.program, model, config, baseline.predictor
         )
         analytic = compiled.code.count_cycles(baseline.evaluation.trace, config)
-        cycles = analytic.cycles
-        btb_hits, btb_misses = analytic.btb_hits, analytic.btb_misses
-        if run_machine and compiled.vliw is not None:
-            machine = VLIWMachine(compiled.vliw, config, workload.eval_memory())
-            result = machine.run()
-            if result.architectural_output != tuple(baseline.evaluation.output):
-                raise AssertionError(
-                    f"{workload.name}/{compiled.policy.name}: scheduled code "
-                    "diverged from scalar semantics"
-                )
-            cycles = result.cycles
-            if machine.btb is not None:
-                btb_hits = machine.btb.hits
-                btb_misses = machine.btb.misses
         return {
-            "speedup": baseline.evaluation.cycles / cycles,
-            "btb_hits": btb_hits,
-            "btb_misses": btb_misses,
+            "speedup": baseline.evaluation.cycles / analytic.cycles,
+            "btb_hits": analytic.btb_hits,
+            "btb_misses": analytic.btb_misses,
         }
 
     def run_cells(self, specs: list[CellSpec]) -> list[dict]:
@@ -412,12 +389,7 @@ def evaluate_cell(spec: CellSpec, ctx: ExperimentContext) -> dict:
 
     if spec.kind == "speedup":
         assert spec.config is not None
-        return ctx.measure(
-            workload,
-            spec.resolved_policy(),
-            spec.config,
-            run_machine=spec.run_machine,
-        )
+        return ctx.measure(workload, spec.resolved_policy(), spec.config)
 
     if spec.kind == "compile_stats":
         assert spec.config is not None

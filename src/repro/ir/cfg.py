@@ -197,6 +197,8 @@ def build_cfg(program: Program) -> CFG:
 
     leaders = {0}
     for index, instruction in enumerate(program.instructions):
+        if instruction.opcode == "br2":  # VLIW code generator output only
+            raise ValueError(f"{instruction}: br2 is not a source instruction")
         if instruction.is_control:
             if index + 1 < len(program.instructions):
                 leaders.add(index + 1)

@@ -19,7 +19,7 @@ from repro.isa.semantics import ALU_SEMANTICS, COND_SEMANTICS
 
 # Decoded op kinds, in issue-loop test order; every kind from BR on is a
 # control transfer (never speculable).
-ALU, LOAD, STORE, OUT, COND, NOP, BR, BRF, JUMP, HALT = range(10)
+ALU, LOAD, STORE, OUT, COND, NOP, BR, BRF, BR2, JUMP, HALT = range(11)
 _KIND_OF_OPCODE = {
     "ld": LOAD,
     "st": STORE,
@@ -27,6 +27,7 @@ _KIND_OF_OPCODE = {
     "nop": NOP,
     "br": BR,
     "brf": BRF,
+    "br2": BR2,
     "jmp": JUMP,
     "halt": HALT,
 }
@@ -108,4 +109,6 @@ class DecodedOp:
         self.creg = None if creg_at is None else operands[creg_at].index
         self.imm = None if imm_at is None else operands[imm_at].value
         self.target = None if target_at is None else operands[target_at].name
+        if self.kind == BR2:  # (target if true, target if false)
+            self.target = (self.target, operands[target_at + 1].name)
         self.text = format_instruction(op) if render else None

@@ -127,8 +127,11 @@ OPCODES: dict[str, OpcodeInfo] = {
         _op("st", ("rs", "rs", "imm"), FuClass.STORE),
         # Control transfers: "br cu, label" branches when cu is true;
         # "brf cu, label" branches when cu is false; "jmp label" always.
+        # "br2 cu, label, label" goes to the first label when cu is true,
+        # else to the second (emitted by the VLIW code generator only).
         _op("br", ("cu", "label"), FuClass.BRANCH),
         _op("brf", ("cu", "label"), FuClass.BRANCH),
+        _op("br2", ("cu", "label", "label"), FuClass.BRANCH),
         _op("jmp", ("label",), FuClass.BRANCH),
         _op("halt", (), FuClass.NONE),
         # Observable output (the validation channel between scalar and
@@ -138,7 +141,7 @@ OPCODES: dict[str, OpcodeInfo] = {
     ]
 }
 
-CONTROL_OPCODES = frozenset({"br", "brf", "jmp", "halt"})
+CONTROL_OPCODES = frozenset({"br", "brf", "br2", "jmp", "halt"})
 CONDITIONAL_BRANCH_OPCODES = frozenset({"br", "brf"})
 COND_SET_OPCODES = frozenset(name for name, op in OPCODES.items() if op.writes_creg)
 UNSAFE_OPCODES = frozenset(name for name, op in OPCODES.items() if op.unsafe)

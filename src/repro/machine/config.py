@@ -10,8 +10,10 @@ and speculation depths (allowed dependent conditions) 1, 2, 4 and 8.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FuClass
 
 
@@ -63,6 +65,22 @@ class MachineConfig:
         if fu is FuClass.STORE:
             return self.num_store
         return None
+
+
+def bundle_violation(
+    config: MachineConfig, ops: Sequence[Instruction]
+) -> str | None:
+    """Why the bundle *ops* does not fit *config*, or None."""
+    if len(ops) > config.issue_width:
+        return f"exceeds issue width: {len(ops)}"
+    usage: dict[FuClass, int] = {}
+    for op in ops:
+        usage[op.fu] = usage.get(op.fu, 0) + 1
+    for fu, used in usage.items():
+        limit = config.fu_count(fu)
+        if limit is not None and used > limit:
+            return f"oversubscribes {fu.value}: {used} > {limit}"
+    return None
 
 
 def base_machine(**overrides) -> MachineConfig:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
+from repro.isa.operands import Label
 from repro.isa.printer import format_instruction
 
 
@@ -80,9 +81,13 @@ class VLIWProgram:
             raise ValueError("regions do not cover the whole program")
         for bundle in self.bundles:
             for op in bundle:
-                target = op.target
-                if target is not None and target not in self.labels:
-                    raise ValueError(f"undefined bundle target {target!r}")
+                if op.target is None:
+                    continue
+                for operand in op.operands:  # br2 has two targets
+                    if isinstance(operand, Label) and operand.name not in self.labels:
+                        raise ValueError(
+                            f"undefined bundle target {operand.name!r}"
+                        )
         if self.provenance is not None:
             if len(self.provenance) != len(self.bundles):
                 raise ValueError("provenance does not cover every bundle")

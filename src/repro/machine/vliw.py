@@ -67,14 +67,13 @@ from repro.core.predicate import ALWAYS, PredValue, Predicate
 from repro.core.regfile import CommitEvents, PredicatedRegisterFile
 from repro.core.store_buffer import PredicatedStoreBuffer
 from repro.isa.decode import (
-    ALU, BR, COND, HALT, JUMP, LOAD, NOP, OUT, STORE, DecodedOp,
+    ALU, BR, BR2, COND, HALT, JUMP, LOAD, NOP, OUT, STORE, DecodedOp,
 )
-from repro.isa.opcodes import FuClass
 from repro.isa.printer import format_instruction
 from repro.isa.registers import NUM_REGS
 from repro.isa.semantics import ArithmeticFault, effective_address, to_i64
 from repro.machine.btb import BranchTargetBuffer
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, bundle_violation
 from repro.machine.program import VLIWProgram
 from repro.obs.diagnostics import (
     SNAPSHOT_BUNDLES,
@@ -281,19 +280,9 @@ class VLIWMachine:
         self._bundles: list[tuple[DecodedOp, ...]] = []
         self._bundle_store_ops: list[int] = []
         for index, bundle in enumerate(self.program.bundles):
-            if len(bundle) > self.config.issue_width:
-                raise ScheduleViolation(
-                    f"bundle {index} exceeds issue width: {len(bundle)}"
-                )
-            usage: dict[FuClass, int] = {}
-            for op in bundle:
-                usage[op.fu] = usage.get(op.fu, 0) + 1
-            for fu, used in usage.items():
-                limit = self.config.fu_count(fu)
-                if limit is not None and used > limit:
-                    raise ScheduleViolation(
-                        f"bundle {index} oversubscribes {fu.value}: {used} > {limit}"
-                    )
+            problem = bundle_violation(self.config, bundle.ops)
+            if problem is not None:
+                raise ScheduleViolation(f"bundle {index} {problem}")
             decoded = tuple(DecodedOp(op, render) for op in bundle)
             self._bundles.append(decoded)
             self._bundle_store_ops.append(
@@ -700,18 +689,21 @@ class VLIWMachine:
                 pending_ccr.append((d.creg, d.fn(*values)))
             elif kind == HALT:
                 halted = True
-            elif kind != NOP:  # br, brf, jmp
+            elif kind != NOP:  # br, brf, br2, jmp
+                target = d.target
                 if kind != JUMP:
                     condition = self.ccr.get(d.creg)
                     if condition is None:
                         raise ScheduleViolation(
                             f"branch on unspecified condition: {d.op}"
                         )
-                    if condition is not (kind == BR):
+                    if kind == BR2:
+                        target = target[not condition]
+                    elif condition is not (kind == BR):
                         continue  # not taken
                 if pending_transfer is not None:
                     raise ScheduleViolation("two taken transfers in one bundle")
-                pending_transfer = d.target
+                pending_transfer = target
 
         # ---- end of cycle -------------------------------------------------
         # Cloning (and copying back) the CCR is only needed on cycles

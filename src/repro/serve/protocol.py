@@ -35,6 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.compiler.models import MODEL_ALIASES, MODEL_NAMES
 from repro.eval.runner import _canonical as canonical
 from repro.machine.config import MachineConfig
 
@@ -54,11 +55,6 @@ JOB_KINDS = ("simulate", "chaos", "security")
 
 #: Taint policies a security job may name.
 JOB_POLICIES = ("committed", "strict")
-
-#: Models a job may name (``predicating`` is the paper's region_pred).
-JOB_MODELS = ("scalar", "predicating", "region_pred", "trace_pred")
-
-_MODEL_ALIASES = {"predicating": "region_pred"}
 
 
 class ProtocolError(ValueError):
@@ -152,14 +148,14 @@ def parse_request(line: str | dict) -> JobSpec:
             _require(isinstance(program_text, str), "'program' must be a string")
     model = document.get("model", "region_pred")
     _require(
-        model in JOB_MODELS,
-        f"unknown model {model!r} (expected one of {JOB_MODELS})",
+        model == "scalar" or model in MODEL_NAMES,
+        f"unknown model {model!r} (expected 'scalar' or one of {MODEL_NAMES})",
     )
     if kind == "security":
         _require(
             model != "scalar",
-            "a security job taint-checks the predicating machine; "
-            "pick a predicating model, not 'scalar'",
+            "a security job taint-checks the VLIW machine; "
+            "pick a compiled model, not 'scalar'",
         )
     policy = document.get("policy", "committed")
     _require(
@@ -253,7 +249,7 @@ def resolve_request(spec: JobSpec) -> ResolvedJob:
             group=group,
         )
 
-    model = _MODEL_ALIASES.get(spec.model, spec.model)
+    model = MODEL_ALIASES.get(spec.model, spec.model)
     try:
         config = MachineConfig(**dict(spec.config_overrides))
     except (TypeError, ValueError) as error:

@@ -207,7 +207,6 @@ def run_job(job: ResolvedJob) -> dict:
     if job.model == "scalar":
         return result
     compiled = _compiled(job, entry)
-    assert compiled.vliw is not None
     machine = VLIWMachine(
         compiled.vliw, job.config, entry.memory(entry.eval_input(job))
     )
@@ -232,7 +231,6 @@ def _run_security(job: ResolvedJob) -> dict:
 
     entry = _program(job)
     compiled = _compiled(job, entry)
-    assert compiled.vliw is not None
     security = run_security(
         vliw=compiled.vliw,
         config=job.config,

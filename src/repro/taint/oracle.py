@@ -16,7 +16,7 @@ instrumentation perturbed the machine, which is equally a finding).
 Inputs are either a scalar :class:`~repro.isa.program.Program` (taken
 through the front end the equivalence oracle uses,
 :func:`~repro.verify.oracle.prepare`: training run, predictor, compile
-under an executable predicating model) or a prebuilt ``vliw=`` program
+under any model) or a prebuilt ``vliw=`` program
 for the hand-scheduled gadget path, which skips training.
 """
 

@@ -3,7 +3,7 @@
 The paper's claim is architectural *equivalence*: the predicating VLIW
 machine, whatever mixture of speculation, squashing and recovery it goes
 through, must end in exactly the state sequential execution reaches.
-This package enforces that claim systematically:
+This package enforces that claim systematically, on every model's code:
 
 * :mod:`repro.verify.oracle` -- lockstep differential checker against the
   scalar interpreter golden model, and :func:`prepare`, the front end
@@ -29,7 +29,6 @@ from repro.verify.case import CASE_SCHEMA, SECURITY_CASE_SCHEMA, ReproCase
 from repro.verify.faults import FaultCampaignReport, run_fault_campaign
 from repro.verify.fuzz import FuzzReport, run_fuzz
 from repro.verify.oracle import (
-    VERIFY_MODELS,
     DivergenceReport,
     DivergenceSite,
     OracleResult,
@@ -57,7 +56,6 @@ __all__ = [
     "ShrinkResult",
     "TRACEDIFF_SCHEMA",
     "TraceDiffResult",
-    "VERIFY_MODELS",
     "merged_trace",
     "resolve_model",
     "run_diff_trace",

@@ -204,7 +204,7 @@ class ReproCase:
                     expected_kind=document.get("expected_kind"),
                     **fields,
                 )
-            from repro.verify.oracle import resolve_model
+            from repro.compiler.models import resolve_model
 
             model = document["model"]
             resolve_model(model)  # validate early, not at replay time

@@ -7,7 +7,8 @@ re-running with the same seed reproduces the same campaigns bit for bit
 oracle.  The sweep covers the axes the machine is sensitive to:
 
 * branch ``predictability`` and program ``size``;
-* the executable models (``region_pred`` / ``trace_pred``);
+* the models (``region_pred`` / ``trace_pred`` by default; any of the
+  seven on request);
 * region-growth policy (``window_blocks``, ``share_equivalent_joins``);
 * machine shape: the paper's base 4-issue machine, narrow/wide
   full-issue machines, finite BTB sizes, infinite shadow capacity;

@@ -1,13 +1,14 @@
 """Lockstep differential checker: VLIW machine vs scalar golden model.
 
-``run_oracle`` compiles a program under an executable predicating model,
-runs the result on the cycle-level :class:`~repro.machine.vliw.VLIWMachine`,
+``run_oracle`` compiles a program under any of the seven models, runs
+the result on the cycle-level :class:`~repro.machine.vliw.VLIWMachine`,
 runs the *same* program through the scalar
 :class:`~repro.sim.interpreter.Interpreter` (the golden model), and
 compares everything architecturally observable:
 
 * the output stream (``out`` values, in order);
-* the full sequential register file at halt;
+* the sequential register file at halt, less the registers renaming
+  clobbered (:attr:`~repro.compiler.pipeline.CompiledProgram.clobbered`);
 * the final memory snapshot (every stored word);
 * fault behaviour (an unhandled fault on one side must be the *same*
   unhandled fault on the other).
@@ -20,7 +21,9 @@ PC, and the machine's committed-vs-squashed buffer state via the existing
 The comparison is exact, not approximate: predicated state buffering is
 *supposed* to reach bit-identical sequential state (Section 3), and the
 scheduler orders every architecturally visible write before region exits,
-so full register/memory equality is an invariant, not a heuristic.
+so register/memory equality is an invariant, not a heuristic.  The one
+exception is the registers renaming clobbers: dead at every exit, they
+may end with other values than the scalar run's (DESIGN.md section 8).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.analysis.branch_prediction import StaticPredictor
-from repro.compiler.models import MODELS
+from repro.compiler.models import MODELS, resolve_model
 from repro.compiler.pipeline import compile_program
 from repro.compiler.policy import ModelPolicy
 from repro.core.exceptions import ScheduleViolation, UnhandledFault
@@ -48,19 +51,6 @@ from repro.sim.interpreter import (
 )
 from repro.sim.memory import Memory
 
-#: CLI aliases accepted everywhere a model is named; the paper's
-#: "predicating" model is region predication.
-MODEL_ALIASES = {"predicating": "region_pred"}
-
-#: The models that emit code the cycle-level machine can run.
-EXECUTABLE_MODELS = tuple(
-    sorted(name for name, policy in MODELS.items() if policy.executable)
-)
-
-#: The model names the oracle, ``repro verify``, ``diff-trace`` and
-#: ``profile`` accept: the aliases, then the executable models.
-VERIFY_MODELS = (*MODEL_ALIASES, *EXECUTABLE_MODELS)
-
 #: Divergence sites reported before the comparison stops enumerating.
 MAX_SITES = 8
 
@@ -69,22 +59,6 @@ MAX_SITES = 8
 #: fast during fuzzing and shrinking.
 DEFAULT_MAX_STEPS = 2_000_000
 DEFAULT_MAX_CYCLES = 20_000_000
-
-
-def resolve_model(model: str) -> str:
-    """Canonical executable model name for *model* (accepts aliases)."""
-    name = MODEL_ALIASES.get(model, model)
-    policy = MODELS.get(name)
-    if policy is None:
-        raise ValueError(
-            f"unknown model {model!r}; choose from {sorted(VERIFY_MODELS)}"
-        )
-    if not policy.executable:
-        raise ValueError(
-            f"model {model!r} is analytic-only; the oracle needs an "
-            f"executable model ({sorted(VERIFY_MODELS)})"
-        )
-    return name
 
 
 @dataclass(frozen=True)
@@ -219,6 +193,7 @@ class Prepared:
     Without a *vliw*, *error* says why: the training run's step-limit
     error (prefixed ``training run:``) or the scheduler's
     :class:`ScheduleViolation`; each check reports it its own way.
+    *clobbered* names the registers the oracle does not compare.
     """
 
     model: str
@@ -226,6 +201,7 @@ class Prepared:
     eval_memory: Memory
     cfg: CFG
     vliw: VLIWProgram | None = None
+    clobbered: frozenset[int] = frozenset()
     error: Exception | None = None
 
 
@@ -271,7 +247,9 @@ def prepare(
             max_steps=max_steps,
         )
         predictor = StaticPredictor.from_trace(train.trace)
-        prepared.vliw = compile_program(program, policy, config, predictor).vliw
+        compiled = compile_program(program, policy, config, predictor)
+        prepared.vliw = compiled.vliw
+        prepared.clobbered = compiled.clobbered
     except StepLimitExceeded as error:
         prepared.error = StepLimitExceeded(f"training run: {error}")
     except ScheduleViolation as error:  # the scheduler's own invariants
@@ -395,6 +373,7 @@ def check_prepared(
     sites = _compare(
         golden, golden_fault, scalar_error,
         machine_result, machine_fault, machine_error,
+        front.clobbered,
     )
     report: DivergenceReport | None = None
     if sites:
@@ -442,7 +421,7 @@ def check_prepared(
             machine_result.recoveries if machine_result is not None else 0
         ),
         compared_registers=(
-            len(golden.registers)
+            len(golden.registers) - len(front.clobbered)
             if golden is not None and machine_result is not None
             else 0
         ),
@@ -461,8 +440,10 @@ def _compare(
     machine_result: VLIWResult | None,
     machine_fault: UnhandledFault | None,
     machine_error: str | None,
+    clobbered: frozenset[int],
 ) -> list[DivergenceSite]:
-    """All observable differences, most severe first."""
+    """All observable differences, most severe first; the registers in
+    *clobbered* are not compared."""
     sites: list[DivergenceSite] = []
 
     # Hard failures first: a machine abort or a step-limit blowout is
@@ -520,11 +501,11 @@ def _compare(
             DivergenceSite("output", "len(out)", len(g_out), len(m_out))
         )
 
-    # Full register file.
+    # The register file, less what renaming clobbered.
     for reg, (expected, actual) in enumerate(
         zip(golden.registers, machine_result.registers)
     ):
-        if expected != actual:
+        if expected != actual and reg not in clobbered:
             sites.append(DivergenceSite("register", f"r{reg}", expected, actual))
             if len(sites) >= MAX_SITES:
                 return sites

@@ -197,6 +197,11 @@ def _cut_window(
     return side.flight.window(anchor, k)
 
 
+def _compared(registers: tuple[int, ...], clobbered) -> dict[int, int]:
+    """The final registers the oracle compares: all but *clobbered*."""
+    return {r: v for r, v in enumerate(registers) if r not in clobbered}
+
+
 def run_diff_trace(
     program: Program,
     model: str | ModelPolicy,
@@ -246,7 +251,7 @@ def run_diff_trace(
     try:
         golden = interpreter.run()
         scalar.cycles = golden.scalar_cycles
-        scalar.registers = dict(enumerate(golden.registers))
+        scalar.registers = _compared(golden.registers, front.clobbered)
         scalar.handled_faults = golden.handled_faults
     except UnhandledFault as fault:
         scalar.unhandled = (fault.fault.kind.value, fault.fault.address)
@@ -273,7 +278,9 @@ def run_diff_trace(
             )
             result = machine.run()
             machine_side.cycles = result.cycles
-            machine_side.registers = dict(enumerate(result.registers))
+            machine_side.registers = _compared(
+                result.registers, front.clobbered
+            )
             machine_side.handled_faults = result.handled_faults
         except UnhandledFault as fault:
             machine_side.unhandled = (

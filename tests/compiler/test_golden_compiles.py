@@ -1,9 +1,10 @@
 """Golden compiles: what the compiler and the cycle counter produce is frozen.
 
-Five of the seven models (everything but ``trace_pred`` and
-``region_pred``) are evaluated only by the trace-driven cycle counter,
-so nothing downstream notices when a compiler change shifts their
-schedules.  ``golden/compiles.json`` was captured from the compiler
+Every model's numbers come from the trace-driven cycle counter, and
+the machine runs (``tests/integration/test_models_on_machine.py``) check
+that a schedule is right, not that it is the same one, so nothing else
+notices when a compiler change shifts a schedule.
+``golden/compiles.json`` was captured from the compiler
 before its trace walk became table-driven and before its passes stopped
 re-deriving instruction views.  A difference here means a change to the
 compiler changed *what* it produces, not just how fast.
@@ -18,8 +19,8 @@ memory, with its pager.
 
 Each compile records, per unit (keyed by header block), the schedule
 length and the exit and halt cycles; the ``count_cycles`` result
-(cycles, region entries, BTB hits and misses); and, for the executable
-models, a SHA-256 of ``VLIWProgram.format()``.
+(cycles, region entries, BTB hits and misses); and a SHA-256 of
+``VLIWProgram.format()``.
 
 To rebuild the fixture after an intended change, write
 ``dumps(capture())`` to the golden path and review the diff.
@@ -73,11 +74,8 @@ def _compile_document(program, predictor, trace, model, config) -> dict:
         "count": [
             count.cycles, count.region_entries, count.btb_hits, count.btb_misses
         ],
+        "vliw": hashlib.sha256(compiled.vliw.format().encode()).hexdigest(),
     }
-    if compiled.vliw is not None:
-        document["vliw"] = hashlib.sha256(
-            compiled.vliw.format().encode()
-        ).hexdigest()
     # Round-trip through JSON so tuples and int keys compare as stored.
     return json.loads(json.dumps(document))
 
@@ -174,5 +172,4 @@ def test_fixture_covers_every_kernel_model_and_machine(golden):
             f"{model}/{label}" for model in MODELS for label in CONFIGS
         }
         for key, document in documents.items():
-            executable = MODELS[key.split("/")[0]].executable
-            assert ("vliw" in document) == executable, key
+            assert "vliw" in document, key

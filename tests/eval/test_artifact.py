@@ -29,7 +29,6 @@ def small_ctx():
 def small_options():
     """Trimmed sweeps keep the full-registry round-trip fast."""
     return ExperimentOptions(
-        run_machine=False,
         max_run=3,
         widths=(2,),
         depths=(1, 2),

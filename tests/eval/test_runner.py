@@ -76,11 +76,6 @@ class TestCacheKey:
         )
         assert a != b
 
-    def test_run_machine_flag_discriminates(self, grep):
-        assert cell_cache_key(
-            _speedup_spec(run_machine=True), grep
-        ) != cell_cache_key(_speedup_spec(), grep)
-
 
 class TestCellRunner:
     def test_cold_then_warm(self, tmp_path):

@@ -67,6 +67,14 @@ class TestBuildCFG:
         with pytest.raises(ValueError):
             build_cfg(Program())
 
+    def test_two_target_branch_rejected(self):
+        """``br2`` is the code generator's form; no source may use it."""
+        program = parse_program(
+            "start:\n  clti c0, r1, 1\n  br2 c0, start, start\n  halt\n"
+        )
+        with pytest.raises(ValueError, match="br2"):
+            build_cfg(program)
+
     def test_roundtrip_preserves_behaviour(self):
         program = parse_program(DIAMOND)
         cfg = build_cfg(program)

@@ -74,3 +74,7 @@ class TestErrors:
     def test_garbage_op_rejected(self):
         with pytest.raises(ParseError):
             parse_vliw("entry:\n  frobnicate r1\n")
+
+    def test_undefined_second_branch_target_rejected(self):
+        with pytest.raises(ValueError, match="nowhere"):
+            parse_vliw("entry:\n  br2 c0, entry, nowhere\n  halt\n")

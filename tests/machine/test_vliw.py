@@ -70,6 +70,26 @@ class TestBasics:
         assert result.speculative_ops == 2
         assert result.squashed_ops == 0
 
+    @pytest.mark.parametrize(("value", "taken"), [(1, [10]), (9, [20])])
+    def test_two_target_branch_goes_where_its_condition_says(
+        self, value, taken
+    ):
+        prog = program(
+            [
+                [f"li r1, {value}"],
+                ["clti c0, r1, 5"],
+                ["br2 c0, T, F"],
+                ["li r2, 10"],
+                ["out r2", "halt"],
+                ["li r2, 20"],
+                ["out r2", "halt"],
+            ],
+            {"R0": 0, "T": 3, "F": 5},
+            [("R0", 0, 3), ("T", 3, 5), ("F", 5, 7)],
+        )
+        result, _ = run(prog)
+        assert result.output == taken
+
     def test_region_transfer_resets_ccr(self):
         prog = program(
             [

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.compiler.models import MODEL_ALIASES, MODEL_NAMES
 from repro.serve.protocol import (
     ProtocolError,
     dumps_response,
@@ -99,6 +100,11 @@ class TestResolve:
         canonical = _job(workload="grep", model="region_pred")
         assert alias.model == "region_pred"
         assert alias.key == canonical.key
+
+    @pytest.mark.parametrize("model", ["scalar", *MODEL_NAMES])
+    def test_every_model_is_a_job_model(self, model):
+        job = _job(workload="grep", model=model)
+        assert job.model == MODEL_ALIASES.get(model, model)
 
     def test_model_changes_the_key(self):
         assert (

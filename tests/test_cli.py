@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import PROFILE_SCHEMA, build_parser, main
+from repro.compiler import MODELS
 from repro.eval.artifact import SCHEMA, SCHEMA_V2, load_artifact
 from repro.obs.trace_events import validate_trace_events
 
@@ -221,8 +222,8 @@ class TestVerifyCli:
     def test_verify_workload_all_models(self, capsys):
         assert main(["verify", "grep"]) == 0
         out = capsys.readouterr().out
-        assert out.count("EQUIVALENT") == 2  # region_pred + trace_pred
-        assert "region_pred" in out and "trace_pred" in out
+        assert out.count("EQUIVALENT") == len(MODELS)
+        assert all(f"[{model}]" in out for model in MODELS)
 
     def test_verify_single_model(self, capsys):
         assert main(["verify", "li", "--model", "region_pred"]) == 0
@@ -239,7 +240,7 @@ class TestVerifyCli:
         document = json.loads(target.read_text())
         assert document["schema"] == "repro-verify/v1"
         assert all(result["equivalent"] for result in document["results"])
-        assert document["metrics"]["counters"]["oracle.runs"] == 2
+        assert document["metrics"]["counters"]["oracle.runs"] == len(MODELS)
 
     def test_verify_needs_a_target(self, capsys):
         assert main(["verify"]) == 2
@@ -381,6 +382,18 @@ class TestReplayCli:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("repro verify: --policy ")
 
+    @pytest.mark.parametrize("model", [["--model", "trace_pred"],
+                                       ["--model", "all"]])
+    def test_model_with_replay_is_a_usage_error(self, model, capsys):
+        """A replayed case carries its own model; an explicit ``--model``
+        would be silently ignored, so it is refused."""
+        path = FINDINGS / "case-synthetic-1803.json"
+        assert main(["verify", "--replay", str(path), *model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro verify: --model ")
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "--security", "--replay",
@@ -398,7 +411,7 @@ class TestReplayCli:
 
 class TestModelChoices:
     """Every command's accepted ``--model`` names, pinned: they derive
-    from one alias table (``repro.verify.oracle``)."""
+    from one model table (``repro.compiler.models``)."""
 
     @staticmethod
     def choices(command: str) -> set[str]:
@@ -417,10 +430,10 @@ class TestModelChoices:
         [
             ("compile", {"global", "squashing", "trace", "region",
                          "boosting", "trace_pred", "region_pred"}),
-            ("exec", {"region_pred", "trace_pred"}),
-            ("profile", {"predicating", "region_pred", "trace_pred"}),
-            ("verify", {"all", "predicating", "region_pred", "trace_pred"}),
-            ("diff-trace", {"predicating", "region_pred", "trace_pred"}),
+            ("exec", {"predicating", *MODELS}),
+            ("profile", {"predicating", *MODELS}),
+            ("verify", {"all", "predicating", *MODELS}),
+            ("diff-trace", {"predicating", *MODELS}),
         ],
     )
     def test_accepted_model_names(self, command, names):

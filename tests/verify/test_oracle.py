@@ -10,14 +10,16 @@ import json
 
 import pytest
 
+from repro.compiler.models import MODEL_NAMES, MODELS
+from repro.isa.registers import NUM_REGS
 from repro.machine.config import base_machine
 from repro.machine.vliw import VLIWMachine
 from repro.verify import (
-    VERIFY_MODELS,
     OracleResult,
     resolve_model,
     run_oracle,
 )
+from repro.verify.oracle import prepare
 from repro.obs.metrics import CounterSink
 from repro.workloads import all_workloads, get_workload
 
@@ -68,13 +70,13 @@ class TestResolveModel:
         with pytest.raises(ValueError, match="unknown model"):
             resolve_model("superscalar")
 
-    def test_analytic_only_rejected(self):
-        with pytest.raises(ValueError, match="analytic-only"):
-            resolve_model("global")
+    def test_every_model_resolves(self):
+        for model in MODELS:
+            assert resolve_model(model) == model
 
     def test_verify_models_all_resolve(self):
-        for model in VERIFY_MODELS:
-            assert resolve_model(model) in EXECUTABLE_MODELS
+        for model in MODEL_NAMES:
+            assert resolve_model(model) in MODELS
 
 
 class _LyingMachine(VLIWMachine):
@@ -84,6 +86,57 @@ class _LyingMachine(VLIWMachine):
         result = super().run()
         result.output[0] = 999_999
         return result
+
+
+def _clobbering_machine(reg: int):
+    """A machine that ends with *reg* holding a value nothing wrote."""
+
+    class Clobbering(VLIWMachine):
+        def run(self):
+            result = super().run()
+            registers = list(result.registers)
+            registers[reg] += 1
+            result.registers = tuple(registers)
+            return result
+
+    return Clobbering
+
+
+class TestRegisterRule:
+    """Renaming leaves fresh registers and deleted copies' home registers
+    with other values than the scalar run; the oracle skips exactly
+    those registers, which the compiler reports."""
+
+    def clobbered(self, name: str, model: str) -> frozenset[int]:
+        workload = get_workload(name)
+        return prepare(
+            workload.program,
+            model,
+            train_memory=workload.train_memory(),
+            eval_memory=workload.eval_memory(),
+        ).clobbered
+
+    def test_renaming_model_skips_only_clobbered_registers(self):
+        clobbered = self.clobbered("li", "trace")
+        assert clobbered
+        result = oracle_for("li", "trace")
+        assert result.equivalent, result.describe()
+        assert result.compared_registers == NUM_REGS - len(clobbered)
+        skipped = oracle_for(
+            "li", "trace", machine_factory=_clobbering_machine(min(clobbered))
+        )
+        assert skipped.equivalent, skipped.describe()
+        kept = min(set(range(1, NUM_REGS)) - clobbered)
+        caught = oracle_for(
+            "li", "trace", machine_factory=_clobbering_machine(kept)
+        )
+        assert not caught.equivalent
+        assert caught.report.sites[0].locus == f"r{kept}"
+
+    def test_predicating_models_compare_every_register(self):
+        for model in ("region_pred", "trace_pred"):
+            assert self.clobbered("li", model) == frozenset()
+            assert oracle_for("li", model).compared_registers == NUM_REGS
 
 
 class TestDivergenceReport:
